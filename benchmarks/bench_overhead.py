@@ -1,13 +1,17 @@
 """NullRecorder overhead smoke — the observability tax must stay <= 5%.
 
-The instrumented seams in :class:`repro.core.encoder.LZWEncoder` promise
-that with the default :data:`~repro.observability.NULL_RECORDER` the
-whole encode pays one attribute read plus one local-bool branch per
-event site.  This benchmark holds that promise to a number: it keeps a
-faithful copy of the encode loop with every hook deleted (the
-commit-local no-hooks baseline), cross-checks that both loops emit the
-exact same codes, then times both best-of-N and fails (exit 1) if the
-instrumented loop is more than ``--max-overhead-percent`` slower.
+The instrumented seams of the reference encode loop
+(:class:`repro.core.stream.StreamEncoder`, which one-shot
+``engine="reference"`` encoding runs) promise that with the default
+:data:`~repro.observability.NULL_RECORDER` the whole encode pays one
+attribute read plus one local-bool branch per event site.  This
+benchmark holds that promise to a number: it keeps a faithful copy of
+the encode loop with every hook deleted (the commit-local no-hooks
+baseline), cross-checks that both loops emit the exact same codes, then
+times both best-of-N and fails (exit 1) if the instrumented loop is
+more than ``--max-overhead-percent`` slower.  ``CONFIG`` pins
+``engine="reference"``: the default ``auto`` engine is the fast matcher,
+a different algorithm the no-hooks copy cannot stand in for.
 
 Run it as CI does::
 
@@ -31,7 +35,7 @@ from repro.core.dictionary import LZWDictionary
 from repro.core.dontcare import ChildSelector
 from repro.workloads import build_testset
 
-CONFIG = LZWConfig(char_bits=7, dict_size=1024, entry_bits=63)
+CONFIG = LZWConfig(char_bits=7, dict_size=1024, entry_bits=63, engine="reference")
 
 #: Timing repetitions; best-of keeps scheduler noise out of the ratio.
 DEFAULT_ROUNDS = 5
@@ -40,10 +44,12 @@ DEFAULT_ROUNDS = 5
 def _reference_encode(stream: TernaryVector, cfg: LZWConfig) -> List[int]:
     """The encoder's hot loop with every observability hook removed.
 
-    Verbatim control flow of :meth:`LZWEncoder.encode` minus recorder
-    lines, stats bookkeeping and the CompressedStream wrapper — the
-    fastest this loop can possibly run without hooks, which is what the
-    instrumented loop is measured against.
+    Control flow of the one-shot ``StreamEncoder`` loop (a single feed
+    then finalize) minus recorder lines, cancellation checkpoints, the
+    commit slack, stats bookkeeping and the CompressedStream wrapper —
+    the fastest this loop can possibly run without hooks, which is what
+    the instrumented loop is measured against.  The reset-or-allocate
+    step is :meth:`LZWDictionary.phrase_boundary` without its counters.
     """
     dictionary = LZWDictionary(cfg)
     chars = to_characters(stream, cfg.char_bits)

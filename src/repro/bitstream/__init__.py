@@ -1,7 +1,8 @@
 """Bit-level substrate: ternary vectors, chunking and variable-width I/O."""
 
 from .bitio import BitReader, BitWriter
-from .packing import from_characters, pad_length, to_characters
+from .fields import pack_fields, unpack_fields
+from .packing import chars_to_vector, from_characters, pad_length, to_characters
 from .ternary import TernaryVector, X
 
 __all__ = [
@@ -9,7 +10,10 @@ __all__ = [
     "BitWriter",
     "TernaryVector",
     "X",
+    "chars_to_vector",
     "from_characters",
+    "pack_fields",
     "pad_length",
     "to_characters",
+    "unpack_fields",
 ]

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from .fields import pack_fields
 from .ternary import TernaryVector
 
-__all__ = ["to_characters", "from_characters", "pad_length"]
+__all__ = ["chars_to_vector", "to_characters", "from_characters", "pad_length"]
 
 
 def pad_length(stream_bits: int, char_bits: int) -> int:
@@ -38,3 +39,9 @@ def to_characters(stream: TernaryVector, char_bits: int) -> List[TernaryVector]:
 def from_characters(chars: Sequence[TernaryVector]) -> TernaryVector:
     """Concatenate characters back into a single stream (pad included)."""
     return TernaryVector.concat_all(list(chars))
+
+
+def chars_to_vector(chars: Sequence[int], char_bits: int) -> TernaryVector:
+    """Concatenate decoded character values into a fully specified vector."""
+    length = len(chars) * char_bits
+    return TernaryVector.from_int(pack_fields(chars, char_bits), length)

@@ -25,13 +25,29 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
+from .fields import pack_fields, unpack_fields
+
 __all__ = ["X", "TernaryVector"]
 
 #: Sentinel used for a don't-care position when iterating / indexing.
 X = None
 
 _CHAR_TO_BIT = {"0": 0, "1": 1, "x": X, "X": X, "-": X}
-_BIT_TO_CHAR = {0: "0", 1: "1", X: "X"}
+
+
+def _nibble_strings() -> List[str]:
+    """Display string of each 4-bit ``(care, value)`` pair at ``care << 4 | value``."""
+    table = [""] * 256
+    for care in range(16):
+        for value in range(16):
+            table[care << 4 | value] = "".join(
+                ("1" if value >> i & 1 else "0") if care >> i & 1 else "X"
+                for i in range(4)
+            )
+    return table
+
+
+_NIBBLE_STRINGS = _nibble_strings()
 
 
 class TernaryVector:
@@ -113,26 +129,23 @@ class TernaryVector:
         if not 0.0 <= x_density <= 1.0:
             raise ValueError("x_density must be within [0, 1]")
         rng = rng or random
-        value = 0
-        care = 0
-        for i in range(length):
-            if rng.random() >= x_density:
-                care |= 1 << i
-                if rng.random() < 0.5:
-                    value |= 1 << i
-        return cls.from_masks(value, care, length)
+        values = []
+        cares = []
+        for _ in range(length):
+            specified = rng.random() >= x_density
+            cares.append(specified)
+            values.append(specified and rng.random() < 0.5)
+        return cls.from_masks(pack_fields(values, 1), pack_fields(cares, 1), length)
 
     @classmethod
     def concat_all(cls, parts: Sequence["TernaryVector"]) -> "TernaryVector":
-        """Concatenate many vectors efficiently (left part comes first)."""
-        value = 0
-        care = 0
-        length = 0
-        for part in parts:
-            value |= part._value << length
-            care |= part._care << length
-            length += part._length
-        return cls.from_masks(value, care, length)
+        """Concatenate many vectors in linear time (left part comes first)."""
+        widths = [part._length for part in parts]
+        return cls.from_masks(
+            pack_fields([part._value for part in parts], widths),
+            pack_fields([part._care for part in parts], widths),
+            sum(widths),
+        )
 
     # ------------------------------------------------------------------
     # Mask access
@@ -154,13 +167,9 @@ class TernaryVector:
         return self._length
 
     def __iter__(self) -> Iterator[Optional[int]]:
-        value, care = self._value, self._care
-        for i in range(self._length):
-            bit = 1 << i
-            if care & bit:
-                yield 1 if value & bit else 0
-            else:
-                yield X
+        cares = unpack_fields(self._care, self._length, 1)
+        values = unpack_fields(self._value, self._length, 1)
+        return iter([value if care else X for care, value in zip(cares, values)])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -205,7 +214,12 @@ class TernaryVector:
         return hash((self._value, self._care, self._length))
 
     def __str__(self) -> str:
-        return "".join(_BIT_TO_CHAR[b] for b in self)
+        count = (self._length + 3) >> 2
+        cares = unpack_fields(self._care, count, 4)
+        values = unpack_fields(self._value, count, 4)
+        table = _NIBBLE_STRINGS
+        text = "".join([table[c << 4 | v] for c, v in zip(cares, values)])
+        return text[: self._length]
 
     def __repr__(self) -> str:
         shown = str(self) if self._length <= 64 else str(self[:61]) + "..."
@@ -286,27 +300,19 @@ class TernaryVector:
 
     def fill_repeat_last(self, initial: int = 0) -> "TernaryVector":
         """Resolve each X to the most recent specified bit (run-extending)."""
-        out_value = 0
-        last = initial
-        for i in range(self._length):
-            bit = 1 << i
-            if self._care & bit:
-                last = 1 if self._value & bit else 0
-            if last:
-                out_value |= bit
-        mask = (1 << self._length) - 1 if self._length else 0
-        return TernaryVector.from_masks(out_value, mask, self._length)
+        bits = []
+        last = 1 if initial else 0
+        for bit in self:
+            if bit is not X:
+                last = bit
+            bits.append(last)
+        return TernaryVector.from_int(pack_fields(bits, 1), self._length)
 
     def fill_random(self, rng: Optional[random.Random] = None) -> "TernaryVector":
         """Resolve each X to an independent fair coin flip."""
         rng = rng or random
-        value = self._value
-        for i in range(self._length):
-            bit = 1 << i
-            if not self._care & bit and rng.random() < 0.5:
-                value |= bit
-        mask = (1 << self._length) - 1 if self._length else 0
-        return TernaryVector.from_masks(value, mask, self._length)
+        bits = [int(rng.random() < 0.5) if bit is X else bit for bit in self]
+        return TernaryVector.from_int(pack_fields(bits, 1), self._length)
 
     def to_int(self) -> int:
         """Integer value of a fully specified vector (first bit = LSB)."""
@@ -318,7 +324,17 @@ class TernaryVector:
         """Split into consecutive ``width``-bit pieces (last may be short)."""
         if width <= 0:
             raise ValueError("chunk width must be positive")
-        return [self[i : i + width] for i in range(0, self._length, width)]
+        count = -(-self._length // width)
+        values = unpack_fields(self._value, count, width)
+        cares = unpack_fields(self._care, count, width)
+        out = [
+            TernaryVector.from_masks(v, c, width) for v, c in zip(values, cares)
+        ]
+        if self._length % width:
+            out[-1] = TernaryVector.from_masks(
+                values[-1], cares[-1], self._length % width
+            )
+        return out
 
 
 def _parse_char(ch: str) -> Optional[int]:

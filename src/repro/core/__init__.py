@@ -1,5 +1,6 @@
 """The paper's contribution: don't-care-aware LZW test compression."""
 
+from ..bitstream import chars_to_vector
 from .config import ConfigError, ENGINES, LZWConfig, POLICIES
 from .decoder import (
     DecodeError,
@@ -29,7 +30,7 @@ from .multichain import (
     partition_chains,
 )
 from .pipeline import CompressionResult, compress, compress_batch, decompress
-from .stream import StreamDecoder, StreamEncoder, chars_to_vector
+from .stream import StreamDecoder, StreamEncoder
 
 __all__ = [
     "ENGINES",

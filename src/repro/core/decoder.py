@@ -1,20 +1,21 @@
-"""Software reference LZW decoder.
+"""Software reference LZW decoder: the one-shot entry points.
 
-This mirrors the hardware decompressor of the paper's Figure 5 exactly
-but at the algorithmic level: given the code stream and the shared
+This mirrors the hardware decompressor of the paper's Figure 5 at the
+algorithmic level: given the code stream and the shared
 :class:`~repro.core.config.LZWConfig`, it rebuilds the dictionary —
 honouring the same capacity (``N``) and entry-width (``C_MDATA``) bounds
 the encoder obeyed — and reproduces the fully specified scan stream.
-The special "code references the entry being created" case (the paper's
-Figure 4f, classic LZW's KwKwK case) is handled explicitly.
 
-The decode loop is exposed incrementally as :func:`iter_decode` so the
-salvage decoder (:mod:`repro.reliability.salvage`) can recover the
-longest decodable prefix of a corrupted stream; :func:`decode_codes`
-is the strict all-or-nothing wrapper.  Failures raise
+The decode loop itself is :meth:`repro.core.stream.StreamDecoder.push`;
+every function here is a thin wrapper over it.  :func:`iter_decode`
+yields per-code expansions so the salvage decoder
+(:mod:`repro.reliability.salvage`) can recover the longest decodable
+prefix of a corrupted stream; :func:`decode_codes` is the strict
+all-or-nothing wrapper.  Failures raise
 :class:`~repro.reliability.errors.DecodeError` carrying the code index,
 the bit offset of the code in the packed payload and the dictionary
-state at the failure point.
+state at the failure point; a seed the encoder could never have held
+raises :class:`~repro.reliability.errors.SnapshotError`.
 
 The cycle-accurate model lives in :mod:`repro.hardware.decompressor`;
 both must agree bit-for-bit, which the test suite checks.
@@ -24,13 +25,13 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..bitstream import TernaryVector
-from ..observability import NULL_RECORDER, Recorder
-from ..observability import schema as ev
+from ..bitstream import TernaryVector, chars_to_vector
+from ..observability import Recorder
 from ..reliability.errors import DecodeError
 from .config import LZWConfig
-from .dictionary import DictionarySnapshot, LZWDictionary
+from .dictionary import DictionarySnapshot
 from .encoder import CompressedStream
+from .stream import StreamDecoder
 
 __all__ = [
     "DecodeError",
@@ -60,12 +61,19 @@ def decode(
     ``seed``/``link`` decode a *warm-seeded* segment: the stream was
     produced by an encoder whose dictionary started from ``seed`` (and,
     for pipelined-wave shards, whose previous phrase ended at code
-    ``link``) — see :func:`iter_decode`.
+    ``link``) — see :class:`~repro.core.stream.StreamDecoder`.
     """
-    chars = decode_codes(
-        compressed.codes, compressed.config, recorder, seed=seed, link=link
-    )
-    return _chars_to_stream(chars, compressed.config, compressed.original_bits)
+    config = compressed.config
+    chars = decode_codes(compressed.codes, config, recorder, seed=seed, link=link)
+    stream = chars_to_vector(chars, config.char_bits)
+    original_bits = compressed.original_bits
+    if original_bits > len(stream):
+        raise DecodeError(
+            f"decoded {len(stream)} bits but {original_bits} expected",
+            decoded_bits=len(stream),
+            expected_bits=original_bits,
+        )
+    return stream[:original_bits]
 
 
 def decode_codes(
@@ -80,9 +88,10 @@ def decode_codes(
     Pure-function core shared by :func:`decode` and the tests that
     cross-check the hardware model.
     """
+    push = StreamDecoder(config, recorder, seed=seed, link=link).push
     out: List[int] = []
-    for _index, chars in iter_decode(codes, config, recorder, seed=seed, link=link):
-        out.extend(chars)
+    for code in codes:
+        out += push(code)
     return out
 
 
@@ -95,147 +104,14 @@ def iter_decode(
 ) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     """Decode incrementally, yielding ``(code_index, characters)`` pairs.
 
-    Each yielded tuple is the expansion of ``codes[code_index]``; the
-    dictionary is updated between yields exactly as the hardware would.
+    Each yielded tuple is the expansion of ``codes[code_index]``.
     Raising happens *before* the offending code contributes any output,
     so a consumer that stops at the first :class:`DecodeError` holds
     precisely the longest decodable prefix.
-
-    ``seed`` pre-fills the dictionary from a
-    :class:`~repro.core.dictionary.DictionarySnapshot` (the stream's
-    first code may then be any live code, not just a base code).
-    ``link`` replays the cross-shard phrase boundary of a pipelined
-    wave: the encoder's previous phrase ended at code ``link`` in the
-    *previous* segment, so this decoder performs the boundary
-    allocation ``string(link) + first_char(codes[0])`` before anything
-    is emitted — exactly what an uninterrupted serial decode would
-    have done at that position.
     """
-    if not codes:
-        return
-
-    rec = recorder if recorder is not None else NULL_RECORDER
-    recording = rec.enabled
-    n_base = config.base_codes
-    max_chars = config.max_entry_chars
-    capacity = config.dict_size
-    code_bits = config.code_bits
-    # Allocated entries only; base code ``c`` decodes to ``(c,)`` implicitly.
-    # ``children`` mirrors the encoder trie's child edges as
-    # ``(parent_code, char)`` pairs: ``LZWDictionary.add`` is a no-op on
-    # an existing child, and at a pipelined-wave link boundary the pair
-    # ``(link, head)`` can already exist (the shard cut forced a phrase
-    # break mid-match), so the decoder must skip exactly the
-    # allocations the encoder skipped or the dictionaries diverge.
-    strings: List[Tuple[int, ...]] = []
-    children = set()
-    if seed is not None:
-        seed.require_config(config)
-        strings = seed.strings()
-        children.update(seed.entries)
-    chars_decoded = 0
-
-    def lookup(code: int) -> Tuple[int, ...]:
-        if code < n_base:
-            return (code,)
-        return strings[code - n_base]
-
-    def next_code() -> int:
-        return n_base + len(strings)
-
-    if link is not None:
-        # Pipelined-wave continuation: the previous segment's last
-        # phrase is the boundary predecessor.  No output is produced
-        # for it here (its characters belong to the previous segment);
-        # the main loop below performs the boundary allocation.
-        if not 0 <= link < next_code():
-            raise DecodeError(
-                f"seed link {link} is not a live code in the seeded "
-                f"dictionary (next free {next_code()})",
-                code_index=0,
-                code=link,
-                bit_offset=0,
-                dict_next_code=next_code(),
-                chars_decoded=0,
-            )
-        prev = lookup(link)
-        prev_code = link
-        start = 0
-    else:
-        first = codes[0]
-        if seed is None:
-            # Cold start: the dictionary holds only base codes.
-            if not 0 <= first < n_base:
-                raise DecodeError(
-                    f"first code {first} must be a base code (< {n_base})",
-                    code_index=0,
-                    code=first,
-                    bit_offset=0,
-                    dict_next_code=n_base,
-                    chars_decoded=0,
-                )
-        elif not 0 <= first < next_code():
-            raise DecodeError(
-                f"first code {first} not in seeded dictionary "
-                f"(next free {next_code()})",
-                code_index=0,
-                code=first,
-                bit_offset=0,
-                dict_next_code=next_code(),
-                chars_decoded=0,
-            )
-        prev = lookup(first)
-        prev_code = first
-        if recording:
-            rec.incr(ev.DECODE_CODES)
-            rec.incr(ev.DECODE_CHARS, len(prev))
-        yield 0, prev
-        chars_decoded = len(prev)
-        start = 1
-
-    for index, code in enumerate(codes[start:], start=start):
-        # Will the encoder have allocated string(prev)+head after emitting
-        # prev?  Mirrors LZWDictionary.add's capacity and width bounds.
-        will_add = next_code() < capacity and len(prev) + 1 <= max_chars
-        if config.reset_on_full and will_add and next_code() == capacity - 1:
-            # Adaptive variant: the filling allocation flushes instead
-            # (same deterministic trigger as the encoder).
-            strings.clear()
-            children.clear()
-            will_add = False
-            if recording:
-                rec.incr(ev.DECODE_RESETS)
-        if 0 <= code < next_code():
-            current = lookup(code)
-        elif (
-            code == next_code()
-            and will_add
-            and (prev_code, prev[0]) not in children
-        ):
-            # KwKwK: the code refers to the entry about to be created —
-            # its string is prev + first character of prev (Figure 4f).
-            current = prev + (prev[0],)
-        else:
-            raise DecodeError(
-                f"code {code} not yet in dictionary (next free {next_code()})",
-                code_index=index,
-                code=code,
-                bit_offset=index * code_bits,
-                dict_next_code=next_code(),
-                chars_decoded=chars_decoded,
-            )
-        if will_add and (prev_code, current[0]) not in children:
-            children.add((prev_code, current[0]))
-            strings.append(prev + (current[0],))
-            if recording:
-                rec.incr(ev.DECODE_DICT_ENTRIES)
-        if recording:
-            rec.incr(ev.DECODE_CODES)
-            rec.incr(ev.DECODE_CHARS, len(current))
-        yield index, current
-        chars_decoded += len(current)
-        prev = current
-        prev_code = code
+    push = StreamDecoder(config, recorder, seed=seed, link=link).push
+    for index, code in enumerate(codes):
+        yield index, push(code)
 
 
 def derive_final_snapshot(
@@ -246,93 +122,19 @@ def derive_final_snapshot(
 ) -> DictionarySnapshot:
     """Dictionary state after encoding the stream behind ``codes``.
 
-    Replays the code sequence through a real :class:`LZWDictionary`,
-    mirroring the decoder's ``will_add``/reset logic, and returns the
-    snapshot an encoder would have held **after emitting the last code
-    but before the next cross-boundary allocation** — the exact seed a
-    pipelined-wave successor shard needs (paired with
-    ``link=codes[-1]``).  This is how chain seeds are *derived* rather
-    than stored: the decoder, the verifier and the supervisor's
-    lost-seed retry path all recompute them from bytes they already
-    have.
+    Decodes the codes and returns the snapshot an encoder would have
+    held **after emitting the last code but before the next
+    cross-boundary allocation** — the exact seed a pipelined-wave
+    successor shard needs (paired with ``link=codes[-1]``).  This is how
+    chain seeds are *derived* rather than stored: the decoder, the
+    verifier and the supervisor's lost-seed retry path all recompute
+    them from bytes they already have.
 
     Raises :class:`~repro.reliability.errors.DecodeError` when the
     codes are not decodable under the (seeded) dictionary — a tampered
     stream can never silently produce a wrong seed.
     """
-    dictionary = LZWDictionary(config)
-    if seed is not None:
-        dictionary.restore(seed)
-    capacity = config.dict_size
-    prev = link
-    if prev is not None and not 0 <= prev < dictionary.next_code:
-        raise DecodeError(
-            f"seed link {prev} is not a live code in the seeded "
-            f"dictionary (next free {dictionary.next_code})",
-            code=prev,
-            dict_next_code=dictionary.next_code,
-        )
-    for index, code in enumerate(codes):
-        if prev is None:
-            # First phrase of a cold/preamble segment: no boundary
-            # allocation precedes it.
-            if not 0 <= code < dictionary.next_code:
-                raise DecodeError(
-                    f"first code {code} not in dictionary "
-                    f"(next free {dictionary.next_code})",
-                    code_index=index,
-                    code=code,
-                    dict_next_code=dictionary.next_code,
-                )
-            prev = code
-            continue
-        # Mirror the encoder's boundary between prev's phrase and this
-        # one: maybe reset, else allocate string(prev) + head where
-        # head is this phrase's first character.
-        will_add = not dictionary.is_full and dictionary.can_extend(prev)
-        if config.reset_on_full and will_add and dictionary.next_code == capacity - 1:
-            dictionary.reset()
-            will_add = False
-        if 0 <= code < dictionary.next_code:
-            head = dictionary.string(code)[0]
-        elif (
-            code == dictionary.next_code
-            and will_add
-            and dictionary.lookup_child(prev, dictionary.string(prev)[0]) is None
-        ):
-            # KwKwK: the code names the entry the boundary is creating.
-            head = dictionary.string(prev)[0]
-        else:
-            raise DecodeError(
-                f"code {code} not yet in dictionary "
-                f"(next free {dictionary.next_code})",
-                code_index=index,
-                code=code,
-                dict_next_code=dictionary.next_code,
-            )
-        if will_add:
-            # ``add`` is a no-op (None) when the child already exists —
-            # which legitimately happens at a link boundary whose shard
-            # cut truncated a phrase mid-match; the encoder skipped the
-            # same allocation, so skipping keeps the mirror exact.
-            dictionary.add(prev, head)
-        prev = code
-    return dictionary.snapshot()
-
-
-def _chars_to_stream(
-    chars: Sequence[int],
-    config: LZWConfig,
-    original_bits: Optional[int],
-) -> TernaryVector:
-    parts = [TernaryVector.from_int(c, config.char_bits) for c in chars]
-    stream = TernaryVector.concat_all(parts)
-    if original_bits is not None:
-        if original_bits > len(stream):
-            raise DecodeError(
-                f"decoded {len(stream)} bits but {original_bits} expected",
-                decoded_bits=len(stream),
-                expected_bits=original_bits,
-            )
-        stream = stream[:original_bits]
-    return stream
+    decoder = StreamDecoder(config, seed=seed, link=link)
+    for code in codes:
+        decoder.push(code)
+    return decoder.snapshot()

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..bitstream import TernaryVector
+from ..observability import NULL_RECORDER, Recorder
+from ..observability import schema as ev
 from ..reliability.errors import SnapshotError
 from .config import LZWConfig
 
@@ -194,17 +196,39 @@ class DictionarySnapshot:
         return hashlib.sha256(self.to_bytes()).hexdigest()
 
     def strings(self) -> List[Tuple[int, ...]]:
-        """Allocated-entry strings, in code order (decoder seeding).
+        """Allocated-entry strings, in code order, validated by replay.
 
         Entry ``i`` is the full character string of code
-        ``base_codes + i`` — exactly the list :func:`repro.core.decoder.
-        iter_decode` would have accumulated after decoding the stream
-        the snapshot was derived from.
+        ``base_codes + i``.  Each entry is checked exactly as
+        :meth:`LZWDictionary.add` would accept it — an earlier parent,
+        an in-range character, a free code, a string that fits the
+        memory word and no duplicate child — so a seed the encoder
+        could never have held raises :class:`SnapshotError` instead of
+        decoding.
         """
         n_base = self.base_codes
+        max_chars = self.entry_bits // self.char_bits
         out: List[Tuple[int, ...]] = []
-        for parent, char in self.entries:
+        seen = set()
+        for i, (parent, char) in enumerate(self.entries):
+            if not (0 <= parent < n_base + i and 0 <= char < n_base):
+                raise SnapshotError(
+                    f"snapshot entry {i} ({parent}, {char}) is out of range",
+                    field=f"entries[{i}]",
+                )
             prefix = (parent,) if parent < n_base else out[parent - n_base]
+            if (
+                n_base + i >= self.dict_size
+                or len(prefix) >= max_chars
+                or (parent, char) in seen
+            ):
+                raise SnapshotError(
+                    f"snapshot entry {i} ({parent}, {char}) is not "
+                    "replayable (duplicate child, entry width or "
+                    "capacity violation)",
+                    field=f"entries[{i}]",
+                )
+            seen.add((parent, char))
             out.append(prefix + (char,))
         return out
 
@@ -362,6 +386,38 @@ class LZWDictionary:
         self._active_bases.add(base)
         return new_code
 
+    def phrase_boundary(
+        self, code: int, head: int, recorder: Recorder = NULL_RECORDER
+    ) -> bool:
+        """The encoder's step between phrase ``code`` and head ``head``.
+
+        Allocates ``string(code) + head`` when capacity and width allow.
+        Under ``reset_on_full`` the allocation that would fill the
+        dictionary flushes it instead; the decoder derives the same
+        trigger from its allocation counter, so no clear code is needed
+        in the stream.  Emits the step's ``dict.*`` counter and returns
+        True when the dictionary was reset.
+        """
+        cfg = self.config
+        if (
+            cfg.reset_on_full
+            and self.next_code == cfg.dict_size - 1
+            and self.can_extend(code)
+        ):
+            self.reset()
+            if recorder.enabled:
+                recorder.incr(ev.DICT_RESETS)
+            return True
+        added = self.add(code, head)
+        if recorder.enabled:
+            if added is not None:
+                recorder.incr(ev.DICT_ALLOCS)
+            elif self.is_full:
+                recorder.incr(ev.DICT_FULL_SKIPS)
+            elif not self.can_extend(code):
+                recorder.incr(ev.DICT_CMDATA_TRUNCATIONS)
+        return False
+
     # ------------------------------------------------------------------
     # Snapshot / restore (warm-dictionary seeding)
     # ------------------------------------------------------------------
@@ -389,9 +445,8 @@ class LZWDictionary:
         encoders' candidate scans iterate — so a restored dictionary is
         indistinguishable from one that lived through the original
         encode.  Raises :class:`SnapshotError` on a config mismatch or
-        when an entry cannot be replayed (duplicate child / width /
-        capacity — the semantic corruptions structural validation
-        cannot see).
+        when an entry is not replayable (the checks of
+        :meth:`DictionarySnapshot.strings`).
         """
         if self.allocated:
             raise SnapshotError(
@@ -399,19 +454,9 @@ class LZWDictionary:
                 actual=self.allocated,
             )
         snapshot.require_config(self.config)
-        for i, (parent, char) in enumerate(snapshot.entries):
-            if parent >= len(self._parent) or char >= self.config.base_codes:
-                raise SnapshotError(
-                    f"snapshot entry {i} ({parent}, {char}) is out of range",
-                    field=f"entries[{i}]",
-                )
-            if self.add(parent, char) is None:
-                raise SnapshotError(
-                    f"snapshot entry {i} ({parent}, {char}) is not "
-                    "replayable (duplicate child, entry width or "
-                    "capacity violation)",
-                    field=f"entries[{i}]",
-                )
+        snapshot.strings()
+        for parent, char in snapshot.entries:
+            self.add(parent, char)
 
     # ------------------------------------------------------------------
     # Introspection for experiments

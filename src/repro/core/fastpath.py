@@ -82,6 +82,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..bitstream import unpack_fields
 from ..observability import schema as ev
 from .config import ENGINES
 from .dictionary import LZWDictionary
@@ -108,35 +109,6 @@ def resolve_engine(engine: str) -> str:
     and as a hedge while a platform issue is being diagnosed.
     """
     return "fast" if engine == "auto" else engine
-
-
-def _mask_chunks(mask: int, n: int, width: int) -> List[int]:
-    """Split ``mask`` into ``n`` little-endian ``width``-bit chunks.
-
-    Reproduces the per-character masks of
-    :func:`repro.bitstream.to_characters` (LSB = first stream bit;
-    X-padding contributes absent bits) without materialising a
-    TernaryVector per character.  Works block-wise so the stream-wide
-    integer is shifted ``n / 256`` times, not ``n`` times — the naive
-    per-character shift is quadratic in the stream length.
-    """
-    out = [0] * n
-    w = (1 << width) - 1
-    blk = 256
-    blkbits = blk * width
-    blkmask = (1 << blkbits) - 1
-    pos = 0
-    while pos < n:
-        block = mask & blkmask
-        mask >>= blkbits
-        stop = pos + blk
-        if stop > n:
-            stop = n
-        for j in range(pos, stop):
-            out[j] = block & w
-            block >>= width
-        pos = stop
-    return out
 
 
 class PackedCandidateIndex:
@@ -330,8 +302,8 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
     # first bit, final character X-padded to full width, so pad mask
     # bits are simply absent) without materialising a TernaryVector per
     # character.
-    values = _mask_chunks(stream.value_mask, n, char_bits)
-    cares = _mask_chunks(stream.care_mask, n, char_bits)
+    values = unpack_fields(stream.value_mask, n, char_bits)
+    cares = unpack_fields(stream.care_mask, n, char_bits)
     fullchar = (1 << char_bits) - 1
 
     index = PackedCandidateIndex(dictionary, char_bits)
@@ -351,11 +323,9 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
     budget_limit = cfg.lookahead_budget
     budget = 0
     allocs = dictionary.allocated  # base-decision memo stamp
-    reset_on_full = cfg.reset_on_full
     # Once a non-resetting dictionary fills, the fill loop below hands
     # over to a leaner frozen-phase loop (see there).
-    frozen_break = lookahead_policy and not reset_on_full
-    last_alloc_code = cfg.dict_size - 1
+    frozen_break = lookahead_policy and not cfg.reset_on_full
     index_candidates = index.candidates
     # Inlined cache hit paths for the two hottest lookups: the memo
     # misses of the main loop hit these caches far more often than the
@@ -822,20 +792,16 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
     def boundary(bcode: int, head: int) -> None:
         """Reset-or-allocate at a phrase boundary (string(bcode) + head).
 
-        One shared replica of the reference's boundary block, used by
-        the in-stream boundaries of the main loop *and* the cross-shard
-        link boundary of a seeded continuation — the pack maintenance,
-        invalidation and recorder sites must stay literally identical
-        at both.
+        The step itself is :meth:`LZWDictionary.phrase_boundary`, shared
+        with the reference loop; this wrapper adds the fast path's own
+        maintenance.  It serves the in-stream boundaries of the main
+        loop *and* the cross-shard link boundary of a seeded
+        continuation, so both keep identical pack maintenance.
         """
         nonlocal allocs, weight, children
-        if (
-            reset_on_full
-            and not dictionary.is_full
-            and dictionary.can_extend(bcode)
-            and dictionary.next_code == last_alloc_code
-        ):
-            dictionary.reset()
+        new_code = dictionary.next_code
+        bases_before = len(active_bases)
+        if dictionary.phrase_boundary(bcode, head, rec):
             index.clear()
             for pk in packs:
                 pk.clear()
@@ -846,53 +812,42 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
             allocs = dictionary.allocated
             weight = dictionary._weight
             children = dictionary._children
-            if recording:
-                rec.incr(ev.DICT_RESETS)
             return
-        bases_before = len(active_bases)
-        added = dictionary.add(bcode, head)
-        if added is not None:
-            allocs += 1
-            index.invalidate_node(bcode)
-            if len(active_bases) != bases_before:
-                index.invalidate_bases()
-            # Append the new entry's path suffix to the packs of its
-            # K+1 nearest ancestors: the ancestor at distance k gains a
-            # depth-k descendant whose lane is the last k characters of
-            # the new string (first consumed lowest).  The walk ends at
-            # the virtual root (-1), whose lane is the entry's whole
-            # string.
-            if K:
-                sfx = head
-                prev = added  # the path's first-step child from anc
-                anc = bcode
-                k = 1
-                while k <= KP:
-                    pk = packs[k]
-                    entry = pk.get(anc)
-                    if entry is None:
-                        pk[anc] = [sfx, 1, [prev]]
-                    else:
-                        entry[0] |= sfx << (entry[1] * lane_w[k])
-                        entry[1] += 1
-                        entry[2].append(prev)
-                    sver[anc] = sver_get(anc, 0) + 1
-                    if anc == -1:
-                        break
-                    sfx = charr[anc] | (sfx << char_bits)
-                    prev = anc
-                    anc = parent[anc]
-                    k += 1
-        if recording:
-            if added is not None:
-                rec.incr(ev.DICT_ALLOCS)
-            elif dictionary.is_full:
-                rec.incr(ev.DICT_FULL_SKIPS)
-            elif not dictionary.can_extend(bcode):
-                rec.incr(ev.DICT_CMDATA_TRUNCATIONS)
+        if dictionary.next_code == new_code:
+            return
+        allocs += 1
+        index.invalidate_node(bcode)
+        if len(active_bases) != bases_before:
+            index.invalidate_bases()
+        # Append the new entry's path suffix to the packs of its K+1
+        # nearest ancestors: the ancestor at distance k gains a depth-k
+        # descendant whose lane is the last k characters of the new
+        # string (first consumed lowest).  The walk ends at the virtual
+        # root (-1), whose lane is the entry's whole string.
+        if K:
+            sfx = head
+            prev = new_code  # the path's first-step child from anc
+            anc = bcode
+            k = 1
+            while k <= KP:
+                pk = packs[k]
+                entry = pk.get(anc)
+                if entry is None:
+                    pk[anc] = [sfx, 1, [prev]]
+                else:
+                    entry[0] |= sfx << (entry[1] * lane_w[k])
+                    entry[1] += 1
+                    entry[2].append(prev)
+                sver[anc] = sver_get(anc, 0) + 1
+                if anc == -1:
+                    break
+                sfx = charr[anc] | (sfx << char_bits)
+                prev = anc
+                anc = parent[anc]
+                k += 1
 
     # ------------------------------------------------------------------
-    # Main loop — control flow mirrors LZWEncoder._encode_reference
+    # Main loop — control flow mirrors the reference loop, StreamEncoder._drain
     # ------------------------------------------------------------------
     codes_append = codes.append
     expansions_append = expansions.append
@@ -1059,11 +1014,15 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
         rec.incr(ev.ENCODE_CODES, len(codes))
         rec.observe(ev.HIST_CODES_PER_WIDTH, cfg.code_bits, len(codes))
     encoder._longest_phrase = longest_phrase
+    # ``continuation`` is recursive, so its closure cell refers back to
+    # it; clearing the cell breaks that cycle, freeing the packs and
+    # memo tables by reference counting instead of a later cyclic GC.
+    continuation = None  # noqa: F841
     return codes, expansions
 
 
 def _record_phrase(rec, char_bits: int, cares, start: int, end: int) -> None:
-    """Recording-path replica of ``LZWEncoder._record_phrase``.
+    """Recording-path replica of :func:`repro.core.stream._record_phrase`.
 
     Every character is ``char_bits`` wide (the final one is X-padded,
     and padding bits have zero care), so the X count per character is

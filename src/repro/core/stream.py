@@ -11,12 +11,16 @@ and emit bounded chunks:
   configuration (and therefore to both engines, whose equivalence the
   differential conformance suite locks).
 * :class:`StreamDecoder` — push codes one at a time, collect character
-  expansions; an exact incremental mirror of
-  :func:`repro.core.decoder.iter_decode` built on a real
-  :class:`~repro.core.dictionary.LZWDictionary`, so the decoder can
-  also answer :meth:`StreamDecoder.snapshot` — the
+  expansions.  It is the library's only LZW decode loop: the one-shot
+  decoders of :mod:`repro.core.decoder` and the salvage decoder are
+  thin wrappers over it.  It also answers
+  :meth:`StreamDecoder.snapshot` — the
   :class:`~repro.core.dictionary.DictionarySnapshot` a resumed session
   seeds from.
+
+One-shot ``engine="reference"`` encoding is ``feed(all) + finalize()``
+on a :class:`StreamEncoder`, so the reference encode loop also exists
+exactly once.
 
 Byte-identity under chunking
 ----------------------------
@@ -43,28 +47,39 @@ The decoder retains only the dictionary and the previous expansion.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..bitstream import TernaryVector, pad_length
 from ..observability import NULL_RECORDER, Recorder
 from ..observability import schema as ev
-from ..reliability.errors import DecodeError
+from ..reliability.errors import DecodeError, SnapshotError
 from .config import LZWConfig
 from .dictionary import DictionarySnapshot, LZWDictionary
 from .dontcare import ChildSelector
-from .encoder import EncodeStats, LZWEncoder
 
-__all__ = ["StreamDecoder", "StreamEncoder", "chars_to_vector"]
+__all__ = ["EncodeStats", "StreamDecoder", "StreamEncoder"]
 
 
-def chars_to_vector(chars: Tuple[int, ...], char_bits: int) -> TernaryVector:
-    """Concatenate decoded character values into a fully specified vector."""
-    value = 0
-    shift = 0
-    for char in chars:
-        value |= char << shift
-        shift += char_bits
-    return TernaryVector.from_masks(value, (1 << shift) - 1 if shift else 0, shift)
+@dataclass(frozen=True)
+class EncodeStats:
+    """Dictionary and phrase statistics gathered during one encoding run."""
+
+    entries_allocated: int
+    dictionary_full: bool
+    longest_entry_chars: int
+    longest_phrase_chars: int
+    total_chars: int
+
+
+def _record_phrase(
+    rec: Recorder, chars: List[TernaryVector], start: int, end: int
+) -> None:
+    """Record one completed phrase ``chars[start:end]`` (recording only)."""
+    xbits = sum(chars[j].x_count for j in range(start, end))
+    rec.observe(ev.HIST_PHRASE_LEN, end - start)
+    rec.observe(ev.HIST_XBITS_PER_PHRASE, xbits)
+    rec.incr(ev.ENCODE_XBITS, xbits)
 
 
 class StreamEncoder:
@@ -87,7 +102,8 @@ class StreamEncoder:
     ``recorder`` and ``cancel`` behave as in :class:`~repro.core.
     encoder.LZWEncoder`: the same ``encode.*``/``dict.*`` counters are
     emitted (identical totals to the one-shot run) and the cancellation
-    token is checked every 1024 consumed characters.
+    token is checked once when encoding starts and then every 1024
+    consumed characters.
     """
 
     def __init__(
@@ -103,8 +119,6 @@ class StreamEncoder:
         if seed is not None:
             self.dictionary.restore(seed)
         if link is not None and not 0 <= link < self.dictionary.next_code:
-            from ..reliability.errors import SnapshotError
-
             raise SnapshotError(
                 f"seed link {link} is not a live code in the seeded "
                 f"dictionary (next free {self.dictionary.next_code})",
@@ -122,6 +136,7 @@ class StreamEncoder:
             self.config.lookahead if self.config.policy == "lookahead" else 1
         )
         self._chars: List[TernaryVector] = []
+        self._trimmed = 0  # stream index of _chars[0]
         self._pending: TernaryVector = TernaryVector.xs(0)
         self._pos = 0
         self._phrase_start = 0
@@ -130,9 +145,9 @@ class StreamEncoder:
         self._finished = False
         self._original_bits = 0
         self._total_chars = 0
-        self._abs_index = 0
         self._codes_emitted = 0
         self._longest_phrase = 0
+        self._expansions: List[int] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -151,6 +166,11 @@ class StreamEncoder:
     def buffered_chars(self) -> int:
         """Characters currently retained (memory-bound diagnostics)."""
         return len(self._chars)
+
+    @property
+    def expansions(self) -> List[int]:
+        """Character count of each code the last feed()/finalize() returned."""
+        return self._expansions
 
     def stats(self) -> EncodeStats:
         """Statistics of the completed run (call after :meth:`finalize`)."""
@@ -171,6 +191,7 @@ class StreamEncoder:
         """Consume one input chunk; return the codes committed by it."""
         if self._finished:
             raise RuntimeError("feed() after finalize()")
+        self._expansions = []
         if not len(chunk):
             return []
         self._original_bits += len(chunk)
@@ -198,6 +219,7 @@ class StreamEncoder:
         if self._finished:
             raise RuntimeError("finalize() called twice")
         self._finished = True
+        self._expansions = []
         rec = self.recorder
         recording = rec.enabled
         if len(self._pending):
@@ -209,15 +231,14 @@ class StreamEncoder:
             self._pending = TernaryVector.xs(0)
         codes = self._drain(final=True)
         if self._started:
-            codes.append(self._buffer)
-            self._codes_emitted += 1
             tail = len(self._chars) - self._phrase_start
+            codes.append(self._buffer)
+            self._expansions.append(tail)
+            self._codes_emitted += 1
             if tail > self._longest_phrase:
                 self._longest_phrase = tail
             if recording:
-                LZWEncoder._record_phrase(
-                    rec, self._chars, self._phrase_start, len(self._chars)
-                )
+                _record_phrase(rec, self._chars, self._phrase_start, len(self._chars))
         if self._total_chars and recording:
             rec.incr(ev.ENCODE_CODES, self._codes_emitted)
             rec.observe(
@@ -227,112 +248,115 @@ class StreamEncoder:
         return codes
 
     # ------------------------------------------------------------------
-    # The committed-decision loop (mirrors LZWEncoder._encode_reference)
+    # The committed-decision loop
     # ------------------------------------------------------------------
     def _drain(self, final: bool) -> List[int]:
-        dictionary = self.dictionary
-        selector = self._selector
         chars = self._chars
-        slack = self._slack
+        navail = len(chars)
+        selector = self._selector
+        dictionary = self.dictionary
+        # Hoisted once: with the default NullRecorder the whole run pays
+        # this single attribute read, and every event site below is one
+        # local-bool branch (bench_overhead.py holds it to <= 5%).
         rec = self.recorder
         recording = rec.enabled
         cancel = self.cancel
         cancelling = cancel is not None
         codes: List[int] = []
-        navail = len(chars)
+        expansions = self._expansions
 
         if not self._started:
-            if not navail or (navail < slack and not final):
+            if not navail or (navail < self._slack and not final):
                 return codes
+            if cancelling:
+                cancel.check()
             self._buffer = selector.choose_base(chars, 0)
             if self._link is not None:
-                # Warm continuation: replay the cross-boundary
-                # allocation the serial encoder would have performed
-                # between the previous session's last phrase and this
-                # one (after the head is chosen, before any character
-                # is consumed) — LZWEncoder._seed_boundary's contract.
-                self._boundary(dictionary, rec, recording, self._link, self._buffer)
+                # Warm continuation: replay the cross-boundary step the
+                # serial encoder ran between the previous session's last
+                # phrase and this one — after the head is chosen, before
+                # any character is consumed.
+                dictionary.phrase_boundary(self._link, self._buffer, rec)
                 self._link = None
             self._started = True
             self._pos = 1
-            self._phrase_start = 0
 
+        offset = self._trimmed
+        buffer = self._buffer
+        phrase_start = self._phrase_start
+        longest = self._longest_phrase
         pos = self._pos
-        while pos < navail and (final or navail - pos >= slack):
-            self._abs_index += 1
-            if cancelling and not (self._abs_index & 1023):
+        # A decision commits once ``slack`` characters from it are
+        # buffered, or at the true end of the stream.
+        stop = navail if final else navail - self._slack + 1
+        while pos < stop:
+            if cancelling and not ((offset + pos) & 1023):
                 cancel.check()
-            choice = selector.choose_child(self._buffer, chars, pos)
+            choice = selector.choose_child(buffer, chars, pos)
             if choice is not None:
-                _char, child = choice
-                self._buffer = child
+                buffer = choice[1]
                 pos += 1
                 continue
-            codes.append(self._buffer)
-            self._codes_emitted += 1
-            if pos - self._phrase_start > self._longest_phrase:
-                self._longest_phrase = pos - self._phrase_start
+            # Phrase boundary: emit the buffer code, run the
+            # reset-or-allocate step and restart the phrase at a
+            # concrete fill of chars[pos].
+            codes.append(buffer)
+            expansions.append(pos - phrase_start)
+            if pos - phrase_start > longest:
+                longest = pos - phrase_start
             if recording:
-                LZWEncoder._record_phrase(rec, chars, self._phrase_start, pos)
+                _record_phrase(rec, chars, phrase_start, pos)
             head = selector.choose_base(chars, pos)
-            self._boundary(dictionary, rec, recording, self._buffer, head)
-            self._buffer = head
-            self._phrase_start = pos
+            dictionary.phrase_boundary(buffer, head, rec)
+            buffer = head
+            phrase_start = pos
             pos += 1
-        self._pos = pos
+        self._buffer = buffer
+        self._longest_phrase = longest
+        self._codes_emitted += len(codes)
 
         # Trim the committed prefix: decisions only ever read forward
         # from the current index, and phrase recording reads back only
         # to phrase_start, so everything before it is dead.  Phrase
         # length is capped by max_entry_chars, which bounds retention.
-        if self._phrase_start > 0:
-            del chars[: self._phrase_start]
-            self._pos -= self._phrase_start
-            self._phrase_start = 0
+        if phrase_start:
+            del chars[:phrase_start]
+            self._trimmed += phrase_start
+            pos -= phrase_start
+            phrase_start = 0
+        self._pos = pos
+        self._phrase_start = phrase_start
         return codes
-
-    def _boundary(
-        self,
-        dictionary: LZWDictionary,
-        rec: Recorder,
-        recording: bool,
-        tail_code: int,
-        head: int,
-    ) -> None:
-        """The maybe-reset-or-allocate step at a phrase boundary."""
-        cfg = self.config
-        if (
-            cfg.reset_on_full
-            and not dictionary.is_full
-            and dictionary.can_extend(tail_code)
-            and dictionary.next_code == cfg.dict_size - 1
-        ):
-            dictionary.reset()
-            if recording:
-                rec.incr(ev.DICT_RESETS)
-            return
-        added = dictionary.add(tail_code, head)
-        if recording:
-            if added is not None:
-                rec.incr(ev.DICT_ALLOCS)
-            elif dictionary.is_full:
-                rec.incr(ev.DICT_FULL_SKIPS)
-            elif not dictionary.can_extend(tail_code):
-                rec.incr(ev.DICT_CMDATA_TRUNCATIONS)
 
 
 class StreamDecoder:
-    """Incremental LZW decoder mirroring :func:`iter_decode` exactly.
+    """The LZW decoder: the paper's Figure 5 FSM, one code per :meth:`push`.
 
-    :meth:`push` consumes one code and returns its character expansion;
-    the dictionary between pushes evolves precisely as the one-shot
-    decoder's would, including the adaptive reset and the KwKwK case.
-    Because the state lives in a real :class:`LZWDictionary`,
-    :meth:`snapshot` returns at any code boundary the same
-    :class:`DictionarySnapshot` :func:`~repro.core.decoder.
-    derive_final_snapshot` would derive from the codes pushed so far —
-    the per-frame dictionary digests of the v5 streaming container and
-    the crash-resume seed both come from it.
+    :meth:`push` consumes one code and returns its character expansion,
+    rebuilding the dictionary exactly as the encoder built it —
+    honouring the same capacity (``N``) and entry-width (``C_MDATA``)
+    bounds, the adaptive reset, and the "code names the entry being
+    created" case (Figure 4f, classic LZW's KwKwK).  A failing code
+    raises :class:`~repro.reliability.errors.DecodeError` *before* it
+    contributes output, carrying the code index, its bit offset in the
+    packed payload and the dictionary state, so a caller that stops at
+    the first error holds exactly the longest decodable prefix.
+
+    The state is light: each allocated entry's string, the
+    allocation-ordered ``(parent, char)`` entries and the set of
+    existing child edges.  :meth:`snapshot` is built from the entries,
+    so at any code boundary it is the
+    :class:`DictionarySnapshot` the encoder held at that point — the
+    per-frame digests of the v5 streaming container, the crash-resume
+    seed and the pipelined-wave chain seed all come from it.
+
+    ``seed`` pre-fills the dictionary (validated by replay, as
+    :meth:`LZWDictionary.restore` does; the first code may then be any
+    live code).  ``link`` replays the cross-segment phrase boundary of a
+    pipelined wave: the encoder's previous phrase ended at code
+    ``link`` in the *previous* segment, so the first pushed code
+    performs the boundary allocation ``string(link) + first_char``
+    exactly as an uninterrupted serial decode would have.
     """
 
     def __init__(
@@ -343,27 +367,40 @@ class StreamDecoder:
         link: Optional[int] = None,
     ) -> None:
         self.config = config
-        self.dictionary = LZWDictionary(config)
+        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        self._n_base = config.base_codes
+        self._capacity = config.dict_size
+        self._max_chars = config.max_entry_chars
+        self._reset_on_full = config.reset_on_full
+        # Allocated entries only; base code ``c`` decodes to ``(c,)``.
+        # ``_children`` mirrors the encoder trie's child edges:
+        # ``LZWDictionary.add`` is a no-op on an existing child, and at a
+        # link boundary the pair ``(link, head)`` can already exist (the
+        # segment cut forced a phrase break mid-match), so the decoder
+        # must skip exactly the allocations the encoder skipped.
+        self._strings: List[Tuple[int, ...]] = []
+        self._entries: List[Tuple[int, int]] = []
+        self._children = set()
         self._seeded = seed is not None
         if seed is not None:
-            self.dictionary.restore(seed)
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
+            seed.require_config(config)
+            self._strings = seed.strings()
+            self._entries = list(seed.entries)
+            self._children = set(seed.entries)
         self._prev: Optional[Tuple[int, ...]] = None
         self._prev_code: Optional[int] = None
         self._index = 0
         self._chars_decoded = 0
         if link is not None:
-            if not 0 <= link < self.dictionary.next_code:
-                raise DecodeError(
+            if not 0 <= link < self._next_code:
+                raise self._error(
+                    link,
                     f"seed link {link} is not a live code in the seeded "
-                    f"dictionary (next free {self.dictionary.next_code})",
-                    code_index=0,
-                    code=link,
-                    bit_offset=0,
-                    dict_next_code=self.dictionary.next_code,
-                    chars_decoded=0,
+                    f"dictionary (next free {self._next_code})",
                 )
-            self._prev = self.dictionary.string(link)
+            self._prev = (
+                (link,) if link < self._n_base else self._strings[link - self._n_base]
+            )
             self._prev_code = link
 
     @property
@@ -376,89 +413,92 @@ class StreamDecoder:
         """Number of characters produced so far."""
         return self._chars_decoded
 
+    @property
+    def _next_code(self) -> int:
+        return self._n_base + len(self._strings)
+
+    def _error(self, code: int, message: str) -> DecodeError:
+        return DecodeError(
+            message,
+            code_index=self._index,
+            code=code,
+            bit_offset=self._index * self.config.code_bits,
+            dict_next_code=self._next_code,
+            chars_decoded=self._chars_decoded,
+        )
+
     def snapshot(self) -> DictionarySnapshot:
         """Dictionary state at the current code boundary (seed/digest)."""
-        return self.dictionary.snapshot()
+        cfg = self.config
+        return DictionarySnapshot(
+            cfg.char_bits, cfg.dict_size, cfg.entry_bits, tuple(self._entries)
+        )
 
     def push(self, code: int) -> Tuple[int, ...]:
         """Decode one code; returns its expansion, raises DecodeError."""
         rec = self.recorder
         recording = rec.enabled
-        dictionary = self.dictionary
-        config = self.config
-        n_base = config.base_codes
-        capacity = config.dict_size
-        index = self._index
-
-        if self._prev is None:
-            # First code of a cold or blob-seeded stream.
-            limit = dictionary.next_code if self._seeded else n_base
-            if not 0 <= code < limit:
-                raise DecodeError(
-                    (
-                        f"first code {code} must be a base code (< {n_base})"
-                        if not self._seeded
-                        else f"first code {code} not in seeded dictionary "
-                        f"(next free {dictionary.next_code})"
-                    ),
-                    code_index=index,
-                    code=code,
-                    bit_offset=index * config.code_bits,
-                    dict_next_code=dictionary.next_code,
-                    chars_decoded=0,
-                )
-            current = dictionary.string(code)
-            self._prev = current
-            self._prev_code = code
-            self._index = index + 1
-            self._chars_decoded += len(current)
-            if recording:
-                rec.incr(ev.DECODE_CODES)
-                rec.incr(ev.DECODE_CHARS, len(current))
-            return current
-
+        strings = self._strings
+        n_base = self._n_base
+        next_code = n_base + len(strings)
         prev = self._prev
-        prev_code = self._prev_code
-        # Will the encoder have allocated string(prev)+head after
-        # emitting prev?  (Arithmetic, not can_extend(): prev_code may
-        # predate an adaptive reset, when its node no longer exists.)
-        will_add = (
-            dictionary.next_code < capacity and len(prev) + 1 <= config.max_entry_chars
-        )
-        if config.reset_on_full and will_add and dictionary.next_code == capacity - 1:
-            dictionary.reset()
-            will_add = False
-            if recording:
-                rec.incr(ev.DECODE_RESETS)
-        if 0 <= code < dictionary.next_code:
-            current = dictionary.string(code)
-        elif (
-            code == dictionary.next_code
-            and will_add
-            and dictionary.lookup_child(prev_code, prev[0]) is None
-        ):
-            # KwKwK (Figure 4f): the code names the entry being created.
-            current = prev + (prev[0],)
+        if prev is None:
+            # First code of a cold or blob-seeded stream: no boundary
+            # allocation precedes it.
+            if not 0 <= code < next_code:
+                raise self._error(
+                    code,
+                    f"first code {code} not in seeded dictionary "
+                    f"(next free {next_code})"
+                    if self._seeded
+                    else f"first code {code} must be a base code (< {n_base})",
+                )
+            current = (code,) if code < n_base else strings[code - n_base]
         else:
-            raise DecodeError(
-                f"code {code} not yet in dictionary "
-                f"(next free {dictionary.next_code})",
-                code_index=index,
-                code=code,
-                bit_offset=index * config.code_bits,
-                dict_next_code=dictionary.next_code,
-                chars_decoded=self._chars_decoded,
-            )
-        if will_add:
-            # add() no-ops (None) on an existing child — the same
-            # allocations the encoder skipped are skipped here.
-            if dictionary.add(prev_code, current[0]) is not None and recording:
-                rec.incr(ev.DECODE_DICT_ENTRIES)
+            prev_code = self._prev_code
+            children = self._children
+            # Will the encoder have allocated string(prev)+head after
+            # emitting prev?  (Arithmetic on the string length: prev_code
+            # may predate an adaptive reset.)
+            capacity = self._capacity
+            will_add = next_code < capacity and len(prev) < self._max_chars
+            if will_add and self._reset_on_full and next_code == capacity - 1:
+                # Adaptive variant: the filling allocation flushes
+                # instead (same deterministic trigger as the encoder).
+                strings.clear()
+                self._entries.clear()
+                children.clear()
+                next_code = n_base
+                will_add = False
+                if recording:
+                    rec.incr(ev.DECODE_RESETS)
+            if 0 <= code < next_code:
+                current = (code,) if code < n_base else strings[code - n_base]
+            elif (
+                code == next_code
+                and will_add
+                and (prev_code, prev[0]) not in children
+            ):
+                # KwKwK (Figure 4f): the code names the entry being
+                # created — its string is prev + first character of prev.
+                current = prev + (prev[0],)
+            else:
+                raise self._error(
+                    code, f"code {code} not yet in dictionary (next free {next_code})"
+                )
+            if will_add:
+                edge = (prev_code, current[0])
+                if edge not in children:
+                    children.add(edge)
+                    self._entries.append(edge)
+                    strings.append(prev + (current[0],))
+                    if recording:
+                        rec.incr(ev.DECODE_DICT_ENTRIES)
         if recording:
             rec.incr(ev.DECODE_CODES)
             rec.incr(ev.DECODE_CHARS, len(current))
         self._prev = current
         self._prev_code = code
-        self._index = index + 1
+        self._index += 1
         self._chars_decoded += len(current)
         return current

@@ -17,9 +17,9 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ..bitstream import BitReader, TernaryVector
+from ..bitstream import BitReader, TernaryVector, chars_to_vector
 from ..core import CompressedStream, LZWConfig
-from ..core.decoder import _chars_to_stream, iter_decode
+from ..core.decoder import iter_decode
 from .errors import DecodeError, ReproError, StreamError
 
 __all__ = ["PartialDecodeResult", "decode_partial", "salvage_container"]
@@ -131,7 +131,7 @@ def _decode_partial_codes(
             codes_decoded = index + 1
     except DecodeError as exc:
         error = exc
-    prefix = _chars_to_stream(chars, config, None)
+    prefix = chars_to_vector(chars, config.char_bits)
     if error is None and original_bits is not None:
         if original_bits > len(prefix):
             error = DecodeError(
@@ -311,7 +311,7 @@ def _salvage_stream(data: bytes, recorder=None) -> PartialDecodeResult:
         total_codes = sum(frame.num_codes for frame in scan.frames)
         notes.append("total code count unknown (journal unsealed)")
 
-    prefix = _chars_to_stream(chars, config, None)
+    prefix = chars_to_vector(chars, config.char_bits)
     complete = error is None and scan.terminal is not None
     if complete:
         total_bits = scan.terminal.total_original_bits

@@ -470,7 +470,8 @@ def _verify_stream(
     """
     import io
 
-    from ..core.stream import StreamDecoder, chars_to_vector
+    from ..bitstream import chars_to_vector
+    from ..core.stream import StreamDecoder
     from ..streamio import (
         _HEADER_V5,
         V5_HEADER_CRC_OFFSET,
@@ -670,7 +671,7 @@ def _verify_stream(
         and all(check.ok for check in checks)
     ):
         with rec.span("verify.coverage"):
-            decoded = chars_to_vector(tuple(chars), config.char_bits)[
+            decoded = chars_to_vector(chars, config.char_bits)[
                 : terminal.total_original_bits
             ]
             covers = decoded.covers(original)

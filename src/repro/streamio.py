@@ -86,9 +86,9 @@ import struct
 import zlib
 from typing import BinaryIO, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .bitstream import BitReader, BitWriter, TernaryVector
+from .bitstream import BitReader, BitWriter, TernaryVector, chars_to_vector
 from .core import DictionarySnapshot, LZWConfig
-from .core.stream import StreamDecoder, StreamEncoder, chars_to_vector
+from .core.stream import StreamDecoder, StreamEncoder
 from .observability import NULL_RECORDER, Recorder
 from .observability import schema as ev
 from .reliability.errors import ConfigError, ContainerError, DecodeError
@@ -799,5 +799,5 @@ def decode_stream_bytes(
     for chars, _frame in iter_decode_stream(reader, recorder=recorder):
         all_chars.extend(chars)
     total_bits = reader.terminal.total_original_bits
-    stream = chars_to_vector(tuple(all_chars), reader.config.char_bits)
+    stream = chars_to_vector(all_chars, reader.config.char_bits)
     return stream[:total_bits]

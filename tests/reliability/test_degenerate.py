@@ -59,8 +59,8 @@ class TestDecodeEdgeCases:
         assert info.value.expected_bits == 5
 
     def test_chars_to_stream_empty(self):
-        from repro.core.decoder import _chars_to_stream
+        from repro.bitstream import chars_to_vector
 
         config = LZWConfig(char_bits=3, dict_size=32, entry_bits=12)
-        assert _chars_to_stream([], config, None) == TernaryVector()
-        assert _chars_to_stream([], config, 0) == TernaryVector()
+        assert chars_to_vector([], config.char_bits) == TernaryVector()
+        assert chars_to_vector([], config.char_bits)[:0] == TernaryVector()
