@@ -29,7 +29,7 @@ import sys
 import time
 from typing import List
 
-from repro.bitstream import TernaryVector, to_characters
+from repro.bitstream import TernaryVector, unpack_fields
 from repro.core import LZWConfig, LZWEncoder
 from repro.core.dictionary import LZWDictionary
 from repro.core.dontcare import ChildSelector
@@ -45,30 +45,40 @@ def _reference_encode(stream: TernaryVector, cfg: LZWConfig) -> List[int]:
     """The encoder's hot loop with every observability hook removed.
 
     Control flow of the one-shot ``StreamEncoder`` loop (a single feed
-    then finalize) minus recorder lines, cancellation checkpoints, the
-    commit slack, stats bookkeeping and the CompressedStream wrapper —
-    the fastest this loop can possibly run without hooks, which is what
-    the instrumented loop is measured against.  The reset-or-allocate
-    step is :meth:`LZWDictionary.phrase_boundary` without its counters.
+    then finalize) over the reference matcher, minus recorder lines,
+    cancellation checkpoints, the commit slack, stats bookkeeping and
+    the CompressedStream wrapper — the fastest this loop can possibly
+    run without hooks, which is what the instrumented loop is measured
+    against.  The reset-or-allocate step is
+    :meth:`LZWDictionary.phrase_boundary` without its counters.
     """
     dictionary = LZWDictionary(cfg)
-    chars = to_characters(stream, cfg.char_bits)
+    char_bits = cfg.char_bits
+    n = -(-len(stream) // char_bits)
+    values = unpack_fields(stream.value_mask, n, char_bits)
+    cares = unpack_fields(stream.care_mask, n, char_bits)
     codes: List[int] = []
-    if not chars:
+    if not n:
         return codes
 
-    selector = ChildSelector(dictionary, cfg)
-    buffer = selector.choose_base(chars, 0)
+    fullchar = (1 << char_bits) - 1
+    selector = ChildSelector(dictionary, cfg, values, cares)
+    choose_base = selector.choose_base
+    choose_child = selector.choose_child
+    buffer = choose_base(0)
+    children = dictionary._children
     i = 1
-    while i < len(chars):
-        choice = selector.choose_child(buffer, chars, i)
-        if choice is not None:
-            _char, child = choice
+    while i < n:
+        if cares[i] == fullchar:
+            child = children[buffer].get(values[i])
+        else:
+            child = choose_child(buffer, i)
+        if child is not None:
             buffer = child
             i += 1
             continue
         codes.append(buffer)
-        head = selector.choose_base(chars, i)
+        head = choose_base(i)
         if (
             cfg.reset_on_full
             and not dictionary.is_full
@@ -76,6 +86,7 @@ def _reference_encode(stream: TernaryVector, cfg: LZWConfig) -> List[int]:
             and dictionary.next_code == cfg.dict_size - 1
         ):
             dictionary.reset()
+            children = dictionary._children
         else:
             dictionary.add(buffer, head)
         buffer = head

@@ -7,10 +7,12 @@ proves it two ways, fast enough for CI:
 1. **Allocation flatness** — stream a corpus and a 10x larger corpus
    through ``StreamEncoder`` + ``StreamContainerWriter`` (sink:
    ``os.devnull``) under :mod:`tracemalloc` and assert the traced peak
-   for the 10x input stays within 2x of the base peak.  ``tracemalloc``
-   sees only Python allocations, so the baseline is tiny and a
-   buffer-the-world regression (the one-shot path allocates the whole
-   character list: ~28 bytes/char) shows up as an order-of-magnitude
+   for the 10x input stays within 2x of the base peak.  Two corpora:
+   repetitive text (long phrases) and incompressible random bytes
+   (every window new, the worst case for the matcher's caches).
+   ``tracemalloc`` sees only Python allocations, so the baseline is
+   tiny and a buffer-the-world regression (a window that keeps every
+   character costs ~28 bytes/char) shows up as an order-of-magnitude
    blowup, not noise.
 
 2. **Capped pipe round-trip** — run the real CLI as two subprocesses,
@@ -28,6 +30,7 @@ Exits non-zero on any violation.  Usage::
 import argparse
 import io
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -55,6 +58,13 @@ def make_corpus(size: int) -> bytes:
     return bytes(out[:size])
 
 
+def make_random_corpus(size: int) -> bytes:
+    return random.Random(size).getrandbits(8 * size).to_bytes(size, "little")
+
+
+CORPORA = (("repetitive", make_corpus), ("random", make_random_corpus))
+
+
 def traced_stream_peak(data: bytes, chunk_bytes: int) -> int:
     """Peak traced allocation while streaming ``data`` to /dev/null."""
     config = LZWConfig()
@@ -76,18 +86,21 @@ def traced_stream_peak(data: bytes, chunk_bytes: int) -> int:
 
 
 def check_allocation_flatness(base_kb: int, chunk_bytes: int) -> bool:
-    base = make_corpus(base_kb * 1024)
-    big = make_corpus(base_kb * 1024 * 10)
-    peak_base = traced_stream_peak(base, chunk_bytes)
-    peak_big = traced_stream_peak(big, chunk_bytes)
-    ratio = peak_big / max(peak_base, 1)
-    flat = ratio <= 2.0
-    print(
-        f"allocation flatness: base {len(base)} B -> peak {peak_base} B; "
-        f"10x {len(big)} B -> peak {peak_big} B; ratio {ratio:.2f}x "
-        f"({'OK' if flat else 'FAIL: peak tracks input size'})"
-    )
-    return flat
+    ok = True
+    for name, make in CORPORA:
+        base = make(base_kb * 1024)
+        big = make(base_kb * 1024 * 10)
+        peak_base = traced_stream_peak(base, chunk_bytes)
+        peak_big = traced_stream_peak(big, chunk_bytes)
+        ratio = peak_big / max(peak_base, 1)
+        flat = ratio <= 2.0
+        print(
+            f"allocation flatness ({name}): base {len(base)} B -> peak "
+            f"{peak_base} B; 10x {len(big)} B -> peak {peak_big} B; ratio "
+            f"{ratio:.2f}x ({'OK' if flat else 'FAIL: peak tracks input size'})"
+        )
+        ok = ok and flat
+    return ok
 
 
 def rlimit_preexec(cap_bytes: int):

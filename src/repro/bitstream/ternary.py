@@ -33,6 +33,10 @@ __all__ = ["X", "TernaryVector"]
 X = None
 
 _CHAR_TO_BIT = {"0": 0, "1": 1, "x": X, "X": X, "-": X}
+_TERNARY_CHARS = frozenset(_CHAR_TO_BIT)
+# Each character as a binary digit of the value and of the care mask.
+_VALUE_DIGITS = str.maketrans("01xX-", "01000")
+_CARE_DIGITS = str.maketrans("01xX-", "11000")
 
 
 def _nibble_strings() -> List[str]:
@@ -64,17 +68,24 @@ class TernaryVector:
         value = 0
         care = 0
         length = 0
-        if bits is not None:
-            if isinstance(bits, str):
-                bits = (_parse_char(ch) for ch in bits)
+        if isinstance(bits, str):
+            if not _TERNARY_CHARS.issuperset(bits):
+                for ch in bits:
+                    _parse_char(ch)  # raises on the first invalid character
+            # Reversed, the first character lands on integer bit 0;
+            # base-2 ``int`` is linear in the string length.
+            reverse = bits[::-1]
+            value = int(reverse.translate(_VALUE_DIGITS) or "0", 2)
+            care = int(reverse.translate(_CARE_DIGITS) or "0", 2)
+            length = len(bits)
+        elif bits is not None:
+            bits = list(bits)
             for bit in bits:
-                if bit is not X:
-                    if bit not in (0, 1):
-                        raise ValueError(f"ternary bit must be 0, 1 or X, got {bit!r}")
-                    care |= 1 << length
-                    if bit:
-                        value |= 1 << length
-                length += 1
+                if bit is not X and bit not in (0, 1):
+                    raise ValueError(f"ternary bit must be 0, 1 or X, got {bit!r}")
+            value = pack_fields([1 if bit else 0 for bit in bits], 1)
+            care = pack_fields([0 if bit is X else 1 for bit in bits], 1)
+            length = len(bits)
         self._value = value
         self._care = care
         self._length = length

@@ -13,7 +13,7 @@ from .decoder import (
 from .dictionary import DictionarySnapshot, LZWDictionary
 from .dontcare import STATIC_FILLS, ChildSelector, static_fill
 from .encoder import CompressedStream, EncodeStats, LZWEncoder
-from .fastpath import PackedCandidateIndex, encode_fast, resolve_engine
+from .fastpath import PackedCandidateIndex, resolve_engine
 from .metrics import (
     compression_percent,
     compression_ratio,
@@ -66,7 +66,6 @@ __all__ = [
     "decode_codes",
     "decompress",
     "derive_final_snapshot",
-    "encode_fast",
     "geometric_mean",
     "iter_decode",
     "resolve_engine",

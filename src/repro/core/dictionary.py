@@ -26,7 +26,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..bitstream import TernaryVector
 from ..observability import NULL_RECORDER, Recorder
 from ..observability import schema as ev
 from ..reliability.errors import SnapshotError
@@ -322,33 +321,30 @@ class LZWDictionary:
         return self._children[code].get(char)
 
     def compatible_children(
-        self, code: int, tchar: TernaryVector
+        self, code: int, value: int, care: int
     ) -> List[Tuple[int, int]]:
-        """Children of ``code`` compatible with ternary char ``tchar``.
+        """Children of ``code`` compatible with the ternary character masks.
 
-        Returns ``(concrete_char, child_code)`` pairs, unordered.  A child
-        keyed by concrete character ``k`` is compatible iff ``k`` agrees
-        with every specified bit of ``tchar``.
+        ``value``/``care`` are one character's masks (``value`` zero
+        wherever ``care`` is).  Returns ``(concrete_char, child_code)``
+        pairs, unordered.  A child keyed by concrete character ``k`` is
+        compatible iff ``k`` agrees with every specified bit.
         """
-        care = tchar.care_mask
-        value = tchar.value_mask
         kids = self._children[code]
-        if care == (1 << len(tchar)) - 1:
+        if care == (1 << self.config.char_bits) - 1:
             child = kids.get(value)
             return [(value, child)] if child is not None else []
         return [(k, c) for k, c in kids.items() if (k & care) == value]
 
-    def compatible_bases(self, tchar: TernaryVector) -> List[int]:
-        """Base codes compatible with ``tchar`` that are worth considering.
+    def compatible_bases(self, value: int, care: int) -> List[int]:
+        """Base codes compatible with a ternary character worth considering.
 
-        All ``2**x_count`` concrete fills of ``tchar`` are compatible base
-        codes, but fills with no descendants are interchangeable for
-        matching purposes, so the scan returns every compatible *active*
-        base (one with children) plus the canonical zero-fill as a
-        fallback candidate.
+        All ``2**x_count`` concrete fills of the character are
+        compatible base codes, but fills with no descendants are
+        interchangeable for matching purposes, so the scan returns every
+        compatible *active* base (one with children) plus the canonical
+        zero-fill as a fallback candidate.
         """
-        care = tchar.care_mask
-        value = tchar.value_mask
         out = [b for b in self._active_bases if (b & care) == value]
         zero_fill = value  # X bits resolved to 0
         if zero_fill not in out:

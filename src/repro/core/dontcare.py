@@ -19,9 +19,10 @@ module provides both families:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..bitstream import TernaryVector
+from ..observability import NULL_RECORDER, Recorder
 from .config import LZWConfig
 from .dictionary import LZWDictionary
 
@@ -55,11 +56,15 @@ def static_fill(
 
 
 class ChildSelector:
-    """Dynamic (in-loop) don't-care assignment for the LZW encoder.
+    """The reference matcher: dynamic (in-loop) don't-care assignment.
 
-    One instance is created per encoding run; it owns the lookahead node
-    budget bookkeeping.  The two entry points mirror the two decision
-    sites of the encoder:
+    One instance is created per encoding run over the encoder's
+    character window — ``values``/``cares``, the per-character masks,
+    which the encoder owns and trims in place — and it owns the
+    lookahead node budget bookkeeping.  Its three calls are the seam of
+    the encode loop (:class:`repro.core.stream.StreamEncoder`), which
+    the fast matcher (:func:`repro.core.fastpath.fast_matcher`) offers
+    too:
 
     * :meth:`choose_child` — the current phrase ``code`` may extend by
       the next ternary character; pick which compatible child to follow
@@ -67,11 +72,22 @@ class ChildSelector:
       or return ``None`` to signal a dictionary miss.
     * :meth:`choose_base` — a new phrase starts at a ternary character;
       pick the concrete single-character base code to restart from.
+    * :meth:`boundary` — the phrase-boundary reset-or-allocate step.
     """
 
-    def __init__(self, dictionary: LZWDictionary, config: LZWConfig) -> None:
+    def __init__(
+        self,
+        dictionary: LZWDictionary,
+        config: LZWConfig,
+        values: List[int],
+        cares: List[int],
+        recorder: Recorder = NULL_RECORDER,
+    ) -> None:
         self._dict = dictionary
         self._config = config
+        self._values = values
+        self._cares = cares
+        self._recorder = recorder
         self._policy = config.policy
         self._window = config.lookahead
         self._budget_limit = config.lookahead_budget
@@ -80,40 +96,33 @@ class ChildSelector:
     # ------------------------------------------------------------------
     # Decision sites
     # ------------------------------------------------------------------
-    def choose_child(
-        self,
-        code: int,
-        chars: Sequence[TernaryVector],
-        index: int,
-    ) -> Optional[Tuple[int, int]]:
-        """Pick a compatible child of ``code`` for character ``chars[index]``.
+    def choose_child(self, code: int, index: int) -> Optional[int]:
+        """Pick a compatible child of ``code`` for character ``index``.
 
-        Returns ``(concrete_char, child_code)`` or ``None`` when no child
-        is compatible (an LZW phrase boundary).
+        Returns the child code, or ``None`` when no child is compatible
+        (an LZW phrase boundary).
         """
-        candidates = self._dict.compatible_children(code, chars[index])
+        candidates = self._dict.compatible_children(
+            code, self._values[index], self._cares[index]
+        )
         if not candidates:
             return None
         if len(candidates) == 1:
-            return candidates[0]
+            return candidates[0][1]
         if self._policy == "first":
-            return min(candidates, key=lambda kc: kc[1])
+            return min(child for _char, child in candidates)
         if self._policy == "popular":
-            return max(candidates, key=self._popularity_key)
-        return self._lookahead_best(candidates, chars, index)
+            return max(candidates, key=self._popularity_key)[1]
+        return self._lookahead_best(candidates, index)[1]
 
-    def choose_base(
-        self,
-        chars: Sequence[TernaryVector],
-        index: int,
-    ) -> int:
-        """Pick the concrete base code to restart a phrase at ``chars[index]``.
+    def choose_base(self, index: int) -> int:
+        """Pick the concrete base code to restart a phrase at character ``index``.
 
         Any concrete fill of the ternary character is a legal base code;
         the heuristics prefer one whose subtree promises the longest
         continuation through the following characters.
         """
-        bases = self._dict.compatible_bases(chars[index])
+        bases = self._dict.compatible_bases(self._values[index], self._cares[index])
         if len(bases) == 1:
             return bases[0]
         if self._policy == "first":
@@ -121,7 +130,11 @@ class ChildSelector:
         if self._policy == "popular":
             return max(bases, key=lambda b: (self._dict.weight(b), -b))
         candidates = [(b, b) for b in bases]
-        return self._lookahead_best(candidates, chars, index)[1]
+        return self._lookahead_best(candidates, index)[1]
+
+    def boundary(self, code: int, head: int) -> None:
+        """The phrase-boundary step between ``code`` and ``head``."""
+        self._dict.phrase_boundary(code, head, self._recorder)
 
     # ------------------------------------------------------------------
     # Heuristics
@@ -133,14 +146,13 @@ class ChildSelector:
     def _lookahead_best(
         self,
         candidates: List[Tuple[int, int]],
-        chars: Sequence[TernaryVector],
         index: int,
     ) -> Tuple[int, int]:
         """Sliding-window choice: deepest compatible continuation wins.
 
-        Each candidate child consumes ``chars[index]``; its score is how
-        many of the following ``W - 1`` characters a descent through the
-        trie can still absorb.  The search shares a per-decision node
+        Each candidate child consumes character ``index``; its score is
+        how many of the following ``W - 1`` characters a descent through
+        the trie can still absorb.  The search shares a per-decision node
         budget so worst-case cost stays bounded; ties fall back to
         subtree weight, then the lowest code (deterministic output).
         """
@@ -149,7 +161,7 @@ class ChildSelector:
         best_key = None
         limit = self._window - 1
         for char, child in candidates:
-            depth = self._continuation(child, chars, index + 1, limit)
+            depth = self._continuation(child, index + 1, limit)
             key = (depth, self._dict.weight(child), -child)
             if best_key is None or key > best_key:
                 best_key = key
@@ -159,28 +171,24 @@ class ChildSelector:
         assert best is not None
         return best
 
-    def _continuation(
-        self,
-        code: int,
-        chars: Sequence[TernaryVector],
-        index: int,
-        limit: int,
-    ) -> int:
-        """Longest match depth from ``code`` through ``chars[index:]``.
+    def _continuation(self, code: int, index: int, limit: int) -> int:
+        """Longest match depth from ``code`` through characters ``index..``.
 
         Depth-first search over compatible children, heaviest subtree
         first, clipped at ``limit`` characters and by the node budget.
         """
-        if limit <= 0 or index >= len(chars) or self._budget <= 0:
+        if limit <= 0 or index >= len(self._values) or self._budget <= 0:
             return 0
         self._budget -= 1
-        kids = self._dict.compatible_children(code, chars[index])
+        kids = self._dict.compatible_children(
+            code, self._values[index], self._cares[index]
+        )
         if not kids:
             return 0
         kids.sort(key=self._popularity_key, reverse=True)
         best = 0
         for _char, child in kids:
-            depth = 1 + self._continuation(child, chars, index + 1, limit - 1)
+            depth = 1 + self._continuation(child, index + 1, limit - 1)
             if depth > best:
                 best = depth
                 if best >= limit:

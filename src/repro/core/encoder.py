@@ -17,7 +17,6 @@ from ..bitstream import BitReader, BitWriter, TernaryVector
 from ..observability import NULL_RECORDER, Recorder
 from .config import LZWConfig
 from .dictionary import DictionarySnapshot
-from .fastpath import encode_fast, resolve_engine
 from .metrics import compression_percent, compression_ratio
 from .stream import EncodeStats, StreamEncoder
 
@@ -133,8 +132,6 @@ class LZWEncoder:
         self.cancel = cancel
         self.seed = seed
         self.link = link
-        # The reference engine *is* this stream encoder; the fast engine
-        # shares only its seeded dictionary (and its seed/link checks).
         self._stream = StreamEncoder(self.config, self.recorder, cancel, seed, link)
         self.dictionary = self._stream.dictionary
         self._used = False
@@ -142,28 +139,23 @@ class LZWEncoder:
     def encode(self, stream: TernaryVector) -> CompressedStream:
         """Compress a ternary scan stream into a :class:`CompressedStream`.
 
-        The engine is picked by ``config.engine``: ``"fast"`` (and
-        ``"auto"``, the default) runs the bit-parallel matcher of
-        :mod:`repro.core.fastpath`; ``"reference"`` runs the original
-        per-candidate trie walk, as one ``feed`` plus ``finalize`` of a
-        :class:`~repro.core.stream.StreamEncoder`.  Both are
-        byte-identical — the differential conformance suite and the
-        golden files lock the equivalence — so the knob only trades
-        implementation.
+        One ``feed`` plus ``finalize`` of a
+        :class:`~repro.core.stream.StreamEncoder`, whose matcher
+        ``config.engine`` picks: ``"fast"`` (and ``"auto"``, the
+        default) is the bit-parallel matcher of
+        :mod:`repro.core.fastpath`, ``"reference"`` the original
+        per-candidate trie walk.  Both are byte-identical — the
+        differential conformance suite and the golden files lock the
+        equivalence — so the knob only trades implementation.
         """
         if self._used:
             raise RuntimeError("LZWEncoder instances are single-use; make a new one")
         self._used = True
-        if resolve_engine(self.config.engine) == "fast":
-            codes, expansions = encode_fast(self, stream)
-        else:
-            encoder = self._stream
-            codes = encoder.feed(stream)
-            expansions = encoder.expansions
-            codes += encoder.finalize()
-            expansions += encoder.expansions
-            self._longest_phrase = encoder._longest_phrase
-            self._total_chars = encoder._total_chars
+        encoder = self._stream
+        codes = encoder.feed(stream)
+        expansions = encoder.expansions
+        codes += encoder.finalize()
+        expansions += encoder.expansions
         return CompressedStream(
             tuple(codes), self.config, len(stream), tuple(expansions)
         )
@@ -172,10 +164,4 @@ class LZWEncoder:
         """Statistics of the completed run (call after :meth:`encode`)."""
         if not self._used:
             raise RuntimeError("encode() has not been called yet")
-        return EncodeStats(
-            entries_allocated=self.dictionary.allocated,
-            dictionary_full=self.dictionary.is_full,
-            longest_entry_chars=self.dictionary.longest_entry_chars(),
-            longest_phrase_chars=self._longest_phrase,
-            total_chars=self._total_chars,
-        )
+        return self._stream.stats()

@@ -1,14 +1,14 @@
-"""Bit-parallel fast-path encoder: word-packed two-mask ternary matching.
+"""Bit-parallel fast matcher: word-packed two-mask ternary matching.
 
-The reference encoder (:meth:`repro.core.encoder.LZWEncoder` with
-``engine="reference"``) walks the dictionary trie one candidate child at
-a time; profiling shows >90% of serial encode time inside that walk
-(the ``compatible_children`` scans and the lookahead DFS around them).
-This module keeps the *decision procedure* — the paper's dynamic
-don't-care assignment with its exact tie-break and budget semantics —
-and replaces the per-candidate Python work with word-wide integer
-operations over packed match arrays, the same idiom
-:mod:`repro.atpg.ppsfp` uses for bit-parallel fault simulation:
+The reference matcher (:class:`repro.core.dontcare.ChildSelector`) walks
+the dictionary trie one candidate child at a time; profiling shows >90%
+of its encode time inside that walk (the ``compatible_children`` scans
+and the lookahead DFS around them).  :func:`fast_matcher` keeps the
+*decision procedure* — the paper's dynamic don't-care assignment with
+its exact tie-break and budget semantics — and replaces the
+per-candidate Python work with word-wide integer operations over packed
+match arrays, the same idiom :mod:`repro.atpg.ppsfp` uses for
+bit-parallel fault simulation:
 
 * every dictionary node keeps its children packed into one big integer,
   one ``C_C + 1``-bit lane per child (the extra guard bit makes
@@ -29,65 +29,85 @@ operations over packed match arrays, the same idiom
   — which is how the reference's shared node budget is replicated
   without walking the trie (see ``lookahead_best``).
 
-Around that matching core, the encode loop amortises everything it can:
+Both matchers plug into the one encode loop,
+:meth:`repro.core.stream.StreamEncoder._drain`, through the same three
+calls: ``choose_base(i)``, ``choose_child(code, i)`` and
+``boundary(code, head)``.  Around the matching core, this matcher
+amortises everything it can:
 
-* the decision character and its lookahead window are pre-packed into
-  rolling ``RV``/``RC`` arrays (one backward O(n) pass; entry ``i``
-  holds the ``K + 1`` characters from ``i`` in ascending bit order), so
-  every scan pattern is one mask of ``RV[i]`` and the pair doubles as a
+* the encoder hands it the rolling ``RV``/``RC`` window lists (entry
+  ``i`` packs the ``K + 1`` characters from ``i``, first character in
+  the low bits; a window cut short by the end of the stream carries its
+  count of absent characters above them, in ``RC``), so every scan
+  pattern is one mask of ``RV[i]`` and the pair doubles as a
   ready-made memoisation key;
-* decisions memoise on ``(node, trailing chars, RV, RC, stamp)`` where
+* decisions memoise on ``(node, RV, RC, stamp)`` where
   the *stamp* is the cheapest value that changes whenever the answer
   could — the allocation counter for base restarts, the node's own
   weight for child decisions (adds elsewhere in the trie cannot change
   a node's candidate set or their weights);
 * once the dictionary is full under ``reset_on_full=False`` nothing
-  mutates again, so the loop drops into a *frozen phase* replica that
-  sheds the stamps and the dead ``dictionary.add`` call — on long
-  streams most characters encode there.
+  mutates again: the matcher enters its *frozen* state, in which child
+  decisions memoise without the stamp and ``boundary`` is only the
+  reference's ``dict.full_skips`` counter — on long streams most
+  characters encode there;
+* every memo table and mask cache is cleared when it reaches
+  :data:`CACHE_LIMIT` entries, so memory stays bounded on any input.
 
 Equivalence contract
 --------------------
-``engine="fast"`` is **byte-identical** to the reference loop: same
+``engine="fast"`` is **byte-identical** to the reference matcher: same
 code sequence, same dictionary evolution, same recorder counters and
-histograms, same cancellation checkpoints.  That holds because the fast
-path is a faithful interpreter of the same algorithm, not a different
-matcher:
+histograms.  That holds because the fast matcher is a faithful
+interpreter of the same algorithm, not a different matcher:
 
 * candidate sets are produced in the reference's order — dictionary
   children in insertion order (ascending code, because codes allocate
   monotonically) and base codes in the live ``_active_bases`` set
   order, snapshotted only between mutations (set iteration is stable
   while the set is unmodified);
-* the fully-specified shortcut (``care == (1 << len(char)) - 1`` →
-  exact ``dict.get``) is reproduced, including its exact-key semantics
-  for the short final character of a stream;
+* the fully-specified shortcut (``care`` covers the whole character →
+  exact ``dict.get``) is reproduced, in the loop for child decisions
+  and here for base decisions, where a concrete character is its own
+  only candidate;
 * the lookahead policy's shared node budget is replicated exactly: a
   failing candidate's DFS visits its whole compatible cone, so its
   consumption equals the pack popcount; a full-depth candidate's
   consumption is order-dependent, so those are re-run through a
   literal budget-metered DFS replica whenever the budget could bind
   (``continuation``), with the same heaviest-subtree-first ordering
-  and the same decrement/break points;
-* the deadline checkpoint fires at the same every-1024-symbols loop
-  positions as the reference.
+  and the same decrement/break points.
 
 ``tests/core/test_engine_differential.py`` locks the contract with
 Hypothesis differential properties and exhaustive small-alphabet
 enumeration; ``tests/golden`` re-verifies every golden digest through
-this path.
+this path and ``tests/core/test_stream_codec.py`` under every chunking.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from ..bitstream import unpack_fields
+from ..observability import Recorder
 from ..observability import schema as ev
-from .config import ENGINES
+from .config import ENGINES, LZWConfig
 from .dictionary import LZWDictionary
 
-__all__ = ["ENGINES", "resolve_engine", "PackedCandidateIndex", "encode_fast"]
+__all__ = [
+    "CACHE_LIMIT",
+    "ENGINES",
+    "Matcher",
+    "PackedCandidateIndex",
+    "fast_matcher",
+    "resolve_engine",
+]
+
+#: Entries any one memo table or mask cache may hold before it is
+#: cleared.  Every cached value is a pure function of its key, so a
+#: clear changes no output; the bound keeps a stream of ever-new
+#: windows from growing the caches without limit.  The benchmark
+#: inputs stay far below it.
+CACHE_LIMIT = 1 << 16
 
 #: Population count for the wide match bitmaps.  ``int.bit_count`` is a
 #: single C call on Python >= 3.10; the ``bin`` fallback keeps the
@@ -104,11 +124,26 @@ else:  # pragma: no cover - exercised only on Python 3.9
 def resolve_engine(engine: str) -> str:
     """Map the config knob to a concrete engine (``auto`` → ``fast``).
 
-    The fast path is byte-identical and strictly faster, so ``auto``
+    The fast matcher is byte-identical and strictly faster, so ``auto``
     always selects it; ``reference`` survives as the conformance oracle
     and as a hedge while a platform issue is being diagnosed.
     """
     return "fast" if engine == "auto" else engine
+
+
+class Matcher(NamedTuple):
+    """The three calls a matcher offers the encode loop.
+
+    ``choose_base(i)`` picks the base code a phrase restarts at for
+    window character ``i``; ``choose_child(code, i)`` picks the child of
+    ``code`` that absorbs character ``i`` (``None`` on a dictionary
+    miss); ``boundary(code, head)`` runs the phrase-boundary step after
+    ``code`` is emitted and ``head`` chosen.
+    """
+
+    choose_base: Callable[[int], int]
+    choose_child: Callable[[int, int], Optional[int]]
+    boundary: Callable[[int, int], None]
 
 
 class PackedCandidateIndex:
@@ -118,7 +153,9 @@ class PackedCandidateIndex:
     concrete child character (or base code), the top *guard* bit stays
     zero so per-lane zero detection ``(HIGH - t) & HIGH`` cannot borrow
     across lanes.  Tables build lazily per node and are invalidated by
-    the encoder at the only two mutation sites (``add`` / ``reset``).
+    the matcher at the only two mutation sites (``add`` / ``reset``).
+    The per-mask result caches hold at most :data:`CACHE_LIMIT` entries
+    between them.
     """
 
     __slots__ = (
@@ -131,6 +168,7 @@ class PackedCandidateIndex:
         "_bases_n",
         "_bases_cache",
         "_bases_stale",
+        "_cached",
     )
 
     def __init__(self, dictionary: LZWDictionary, char_bits: int) -> None:
@@ -145,13 +183,16 @@ class PackedCandidateIndex:
         self._bases_n = 0
         self._bases_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._bases_stale = True
+        self._cached = 0  # entries across every mask cache
 
     # ------------------------------------------------------------------
-    # Invalidation (called by the encoder at its mutation sites)
+    # Invalidation (called by the matcher at its mutation sites)
     # ------------------------------------------------------------------
     def invalidate_node(self, code: int) -> None:
         """Drop the tables of ``code`` after it gained a child."""
-        self._nodes.pop(code, None)
+        entry = self._nodes.pop(code, None)
+        if entry is not None:
+            self._cached -= len(entry[3])
 
     def invalidate_bases(self) -> None:
         """Drop the first-symbol index after the active-base set grew."""
@@ -160,7 +201,18 @@ class PackedCandidateIndex:
     def clear(self) -> None:
         """Drop everything (after ``dictionary.reset()``)."""
         self._nodes.clear()
+        self._bases_cache.clear()
+        self._cached = 0
         self._bases_stale = True
+
+    def _remember(self, cache: dict, key: Tuple[int, int], result: tuple) -> None:
+        if self._cached >= CACHE_LIMIT:
+            for entry in self._nodes.values():
+                entry[3].clear()
+            self._bases_cache.clear()
+            self._cached = 0
+        cache[key] = result
+        self._cached += 1
 
     # ------------------------------------------------------------------
     # Packed scans
@@ -215,7 +267,7 @@ class PackedCandidateIndex:
             out.append(codes[lane])
             z &= z - 1
         result = tuple(out)
-        cache[mask_key] = result
+        self._remember(cache, mask_key, result)
         return result
 
     def base_candidates(self, value: int, care: int) -> Tuple[int, ...]:
@@ -239,7 +291,8 @@ class PackedCandidateIndex:
             self._bases_list = actives
             self._bases_packed = packed
             self._bases_n = len(actives)
-            self._bases_cache = {}
+            self._cached -= len(self._bases_cache)
+            self._bases_cache.clear()
             self._bases_stale = False
         mask_key = (value, care)
         hit = self._bases_cache.get(mask_key)
@@ -261,121 +314,86 @@ class PackedCandidateIndex:
         if value not in out:  # zero-fill fallback, as in the reference
             out.append(value)
         result = tuple(out)
-        self._bases_cache[mask_key] = result
+        self._remember(self._bases_cache, mask_key, result)
         return result
 
 
-def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
-    """Run one fast-path encode; returns ``(codes, expansion_chars)``.
+def fast_matcher(
+    dictionary: LZWDictionary,
+    config: LZWConfig,
+    recorder: Recorder,
+    values: List[int],
+    cares: List[int],
+    RV: Optional[List[int]],
+    RC: Optional[List[int]],
+) -> Matcher:
+    """Build the fast matcher over an encoder's dictionary and window.
 
-    ``encoder`` is the owning :class:`~repro.core.encoder.LZWEncoder`
-    (config, dictionary, recorder and cancellation token are read from
-    it; ``_longest_phrase``/``_total_chars`` are written back so
-    ``stats()`` is engine-agnostic).  Control flow is a line-for-line
-    replica of the reference loop — see the module docstring for why
-    each divergence-prone site is exact.
+    ``values``/``cares`` are the encoder's per-character masks and
+    ``RV``/``RC`` its rolling lookahead windows (``None`` unless the
+    policy is lookahead).  The encoder owns all four lists and trims them
+    in place; the matcher only ever reads them at committed indices.
+    A seeded dictionary is taken as it stands: its suffix packs are
+    rebuilt here before the first decision.
     """
-    cfg = encoder.config
-    dictionary = encoder.dictionary
-    rec = encoder.recorder
+    rec = recorder
     recording = rec.enabled
-    char_bits = cfg.char_bits
-    nbits = len(stream)
-    pad = -nbits % char_bits
-    n = (nbits + pad) // char_bits
-    encoder._longest_phrase = 0
-    encoder._total_chars = n
-    codes: List[int] = []
-    expansions: List[int] = []
-    if not n:
-        return codes, expansions
-    if recording:
-        rec.incr(ev.ENCODE_CHARS, n)
-
-    cancel = encoder.cancel
-    cancelling = cancel is not None
-    if cancelling:
-        cancel.check()
-
-    # Chunk the stream's two masks directly into per-character arrays —
-    # same layout :func:`repro.bitstream.to_characters` produces (LSB =
-    # first bit, final character X-padded to full width, so pad mask
-    # bits are simply absent) without materialising a TernaryVector per
-    # character.
-    values = unpack_fields(stream.value_mask, n, char_bits)
-    cares = unpack_fields(stream.care_mask, n, char_bits)
+    char_bits = config.char_bits
     fullchar = (1 << char_bits) - 1
-
     index = PackedCandidateIndex(dictionary, char_bits)
     # Hot read-only views of the dictionary arrays.  reset() rebinds
     # _weight and _children on the instance, so both are re-fetched
     # after every reset; add() and reset() mutate the rest in place.
     weight = dictionary._weight
     children = dictionary._children
-    nchars = dictionary._nchars
     active_bases = dictionary._active_bases
     parent = dictionary._parent
     charr = dictionary._char
 
-    policy = cfg.policy
+    policy = config.policy
     lookahead_policy = policy == "lookahead"
-    window = cfg.lookahead
-    budget_limit = cfg.lookahead_budget
+    reset_on_full = config.reset_on_full
+    budget_limit = config.lookahead_budget
     budget = 0
     allocs = dictionary.allocated  # base-decision memo stamp
-    # Once a non-resetting dictionary fills, the fill loop below hands
-    # over to a leaner frozen-phase loop (see there).
-    frozen_break = lookahead_policy and not cfg.reset_on_full
+    frozen = dictionary.is_full and not reset_on_full
     index_candidates = index.candidates
-    # Inlined cache hit paths for the two hottest lookups: the memo
-    # misses of the main loop hit these caches far more often than the
-    # packed scans behind them.
-    index_nodes = index._nodes
     index_base_candidates = index.base_candidates
+    # Inlined cache hit paths for the two hottest lookups: memo misses
+    # hit these caches far more often than the packed scans behind them.
+    index_nodes = index._nodes
+    bases_get = index._bases_cache.get
     popcount = _popcount
+    miss = object()
 
     # ------------------------------------------------------------------
     # Lookahead: packed suffix tables + an exact budget replica
     # ------------------------------------------------------------------
     # K = window depth beyond the candidate itself.  packs[k][node] is
-    # [pack, nlanes]: one lane per depth-k descendant of node, each lane
-    # the concatenation of the k characters on the path (first consumed
-    # character in the low bits), k*C_C + 1 bits wide (guard bit on
-    # top).  Node -1 is the virtual trie root (parent of the base
-    # codes): its depth-k descendants are every allocated entry of
-    # length k, which lets one pack test cover all candidates of a
-    # *base* decision too.  Levels run to K + 1 because a decision
-    # consumes one character before the window: candidate depth d
-    # corresponds to level d + 1 of the candidates' common parent.
-    # Maintained append-only at the add site, cleared on reset — no
-    # other invalidation exists because lanes are never rewritten.
-    K = window - 1 if policy == "lookahead" else 0
+    # [pack, nlanes, lane_cands]: one lane per depth-k descendant of
+    # node, each lane the concatenation of the k characters on the path
+    # (first consumed character in the low bits), k*C_C + 1 bits wide
+    # (guard bit on top), and lane_cands[l] the path's first-step child.
+    # Node -1 is the virtual trie root (parent of the base codes): its
+    # depth-k descendants are every allocated entry of length k, which
+    # lets one pack test cover all candidates of a *base* decision too.
+    # Levels run to K + 1 because a decision consumes one character
+    # before the window: candidate depth d corresponds to level d + 1 of
+    # the candidates' common parent.  Maintained append-only at the add
+    # site, cleared on reset — no other invalidation exists because
+    # lanes are never rewritten.
+    K = config.lookahead - 1 if lookahead_policy else 0
     KP = K + 1
     packs: List[Dict[int, list]] = [dict() for _ in range(KP + 1)]
     lane_w = [k * char_bits + 1 for k in range(KP + 1)]
     # ones_tabs[k][m] replicates 1 across m lanes of width lane_w[k].
     ones_tabs: List[List[int]] = [[0] for _ in range(KP + 1)]
-    # Rolling lookahead windows: RV[i]/RC[i] pack the decision character
-    # at position i plus the (up to) K window characters after it, first
-    # character in the low bits — chars past the stream end contribute
-    # nothing, so a short window near the end is the same integer as its
-    # explicit build.  One backward O(n) pass replaces a per-decision
-    # packing loop; ``rv & pmask[k]`` is then exactly the level-k scan
-    # pattern (decision char + k-1 window chars), and ``rv >> char_bits``
-    # recovers the pure window for the per-candidate cone tests.
+    # ``rv & pmask[k]`` is exactly the level-k scan pattern (decision
+    # char + k-1 window chars), and ``rv >> char_bits`` recovers the
+    # pure window for the per-candidate cone tests.  ``rc >> short``
+    # counts the window characters past the end of the stream.
     pmask = [(1 << (k * char_bits)) - 1 for k in range(K + 2)]
-    RV = [0] * n
-    RC = [0] * n
-    if lookahead_policy:
-        kmask = pmask[K]
-        rv = rc = 0
-        j = n - 1
-        while j >= 0:
-            rv = values[j] | ((rv & kmask) << char_bits)
-            rc = cares[j] | ((rc & kmask) << char_bits)
-            RV[j] = rv
-            RC[j] = rc
-            j -= 1
+    short = KP * char_bits
 
     def ones_for(k: int, lanes: int) -> int:
         tab = ones_tabs[k]
@@ -387,22 +405,25 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
                 tab.append(value)
         return tab[lanes]
 
-    def continuation(code: int, i: int, limit: int) -> int:
+    def continuation(code: int, i: int, limit: int, again) -> int:
         """Literal replica of ``ChildSelector._continuation``.
 
         Shares the decision's node budget via ``budget``; only runs
         when the budget could bind (see ``lookahead_best``), so its
-        per-node cost is off the common path.
+        per-node cost is off the common path.  ``again`` is this
+        function: recursing through an argument rather than the closure
+        keeps the matcher free of reference cycles, so its tables are
+        freed as soon as the encoder drops it.
         """
         nonlocal budget
-        if limit <= 0 or i >= n or budget <= 0:
+        if limit <= 0 or i >= len(values) or budget <= 0:
             return 0
         budget -= 1
         if cares[i] == fullchar:
             child = children[code].get(values[i])
             if child is None:
                 return 0
-            return 1 + continuation(child, i + 1, limit - 1)
+            return 1 + again(child, i + 1, limit - 1, again)
         cands = index_candidates(code, values[i], cares[i])
         if not cands:
             return 0
@@ -416,7 +437,7 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
             order = (1,)
         best = 0
         for p in order:
-            depth = 1 + continuation(cands[p], i + 1, limit - 1)
+            depth = 1 + again(cands[p], i + 1, limit - 1, again)
             if depth > best:
                 best = depth
                 if best >= limit:
@@ -426,7 +447,7 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
         return best
 
     # Decision memo: the winner of a lookahead decision is a pure
-    # function of (candidate tuple, window depth, window masks, the sum
+    # function of (candidate tuple, window masks and length, the sum
     # of the candidates' subtree weights).  The weight sum is a valid
     # monotone stamp: weights only ever increase within a run, and any
     # allocation in or under a candidate's subtree — the only dictionary
@@ -436,7 +457,8 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
     # weights *and* untouched subtrees.  Sibling allocations leave the
     # sum (and the decision) unchanged, which is exactly when a hit is
     # wanted.  Cleared on reset (weights restart, codes reallocate).
-    decision_memo: Dict[tuple, int] = {}
+    decision_memo: Dict[tuple, Optional[int]] = {}
+    memo_get = decision_memo.get
     # Per-candidate cache under the decision memo: a candidate's
     # unbudgeted window depth and compatible cone node count are pure
     # functions of (candidate, window, structure <= K below it).
@@ -445,6 +467,7 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
     # it moves exactly when the cone can — allocations elsewhere (or
     # deeper) leave cached cones valid, unlike a weight stamp.
     sver: Dict[int, int] = {}
+    sver_get = sver.get
     cone_cache: Dict[tuple, tuple] = {}
     # Successful full-depth replays: the DFS visits nodes in a fixed
     # (weight-sorted) order and stops at the first full-depth path, so
@@ -455,36 +478,43 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
     # shape and the DFS's sort keys only change through such adds.
     fullsim_cache: Dict[tuple, int] = {}
 
-    # Seeded dictionary: the suffix packs are maintained append-only at
-    # the add site, so a dictionary restored from a snapshot arrives
-    # with *empty* packs — the lookahead would silently degrade to the
-    # weight argmax and diverge from the seeded reference.  Replay the
-    # pack-maintenance walk for every pre-allocated entry in code order
-    # (allocation order), which reproduces the exact pack lanes, lane
-    # order and ``sver`` counters an uninterrupted run would hold.
-    if K and dictionary.allocated:
-        sver_bump = sver.get
-        for added in range(cfg.base_codes, dictionary.next_code):
-            sfx = charr[added]
-            prev = added
-            anc = parent[added]
-            k = 1
-            while k <= KP:
-                pk = packs[k]
-                entry = pk.get(anc)
-                if entry is None:
-                    pk[anc] = [sfx, 1, [prev]]
-                else:
-                    entry[0] |= sfx << (entry[1] * lane_w[k])
-                    entry[1] += 1
-                    entry[2].append(prev)
-                sver[anc] = sver_bump(anc, 0) + 1
-                if anc == -1:
-                    break
-                sfx = charr[anc] | (sfx << char_bits)
-                prev = anc
-                anc = parent[anc]
-                k += 1
+    def extend_packs(new_code: int) -> None:
+        """Append entry ``new_code``'s path suffix to its ancestors' packs.
+
+        The ancestor at distance k gains a depth-k descendant whose
+        lane is the last k characters of the new string (first consumed
+        lowest).  The walk ends at the virtual root (-1), whose lane is
+        the entry's whole string.
+        """
+        sfx = charr[new_code]
+        prev = new_code  # the path's first-step child from anc
+        anc = parent[new_code]
+        k = 1
+        while k <= KP:
+            pk = packs[k]
+            entry = pk.get(anc)
+            if entry is None:
+                pk[anc] = [sfx, 1, [prev]]
+            else:
+                entry[0] |= sfx << (entry[1] * lane_w[k])
+                entry[1] += 1
+                entry[2].append(prev)
+            sver[anc] = sver_get(anc, 0) + 1
+            if anc == -1:
+                break
+            sfx = charr[anc] | (sfx << char_bits)
+            prev = anc
+            anc = parent[anc]
+            k += 1
+
+    # Seeded dictionary: replay the pack maintenance for every
+    # pre-allocated entry in code (allocation) order, which reproduces
+    # the exact pack lanes, lane order and ``sver`` counters an
+    # uninterrupted run would hold — empty packs would silently degrade
+    # the lookahead to the weight argmax and diverge from the reference.
+    if K:
+        for added in range(config.base_codes, dictionary.next_code):
+            extend_packs(added)
 
     def ztest(child: int, k: int, wv: int, wc: int) -> int:
         """Compatible-lane bitmap of ``child``'s depth-``k`` pack (0 = none)."""
@@ -497,8 +527,6 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
         t = (e[0] ^ wv * ones) & (wc * ones)
         high = ones << (k * char_bits)
         return (high - t) & high
-
-    sver_get = sver.get
 
     def cone_counts(child: int, te: int, wv_te: int, wc_te: int) -> tuple:
         """``(full, depth, cnt)`` of ``child``'s compatible window cone.
@@ -527,8 +555,22 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
                 if zfull:
                     depth = te
             hit = (bool(zfull) and te == K, depth, cnt)
+            if len(cone_cache) >= CACHE_LIMIT:
+                cone_cache.clear()
             cone_cache[ckey] = hit
         return hit
+
+    def weight_argmax(cands: Tuple[int, ...], start: int, step: int) -> int:
+        """Argmax of ``(weight, -code)`` over ``cands[start::step]``."""
+        best = cands[start]
+        best_w = weight[best]
+        for p in range(start + step, len(cands), step):
+            child = cands[p]
+            child_w = weight[child]
+            if child_w > best_w or (child_w == best_w and child < best):
+                best_w = child_w
+                best = child
+        return best
 
     def lookahead_best(
         cands: Tuple[int, ...],
@@ -562,26 +604,17 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
           budget returns depth 0 without consuming, as the guards do.
         """
         nonlocal budget
-        limit = K
-        idx = i + 1
-        rem = n - idx
-        te = limit if rem > limit else rem  # deepest *entered* level
-        m = len(cands)
+        rv = RV[i]
+        rc = RC[i]
+        te = K - (rc >> short)  # deepest window level the DFS can enter
         if te == 0:
             # No window left (stream end) or W == 1: the reference's
             # guards return depth 0 for everyone without consuming
             # budget — argmax of (weight, -code).
-            best = cands[start]
-            best_w = weight[best]
-            for p in range(start + step, m, step):
-                child = cands[p]
-                child_w = weight[child]
-                if child_w > best_w or (child_w == best_w and child < best):
-                    best_w = child_w
-                    best = child
-            return best
-        rv = RV[i]
-        rc = RC[i]
+            return weight_argmax(cands, start, step)
+        limit = K
+        idx = i + 1
+        m = len(cands)
         # Level scan over the candidates' common parent: level k of
         # node's packs covers every candidate's depth-(k-1) subtree at
         # once (the lane's first character names the candidate), so
@@ -622,15 +655,7 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
             # 0 whether or not the budget dies mid-list (spent-budget
             # guards also score 0), so the argmax of (weight, -code)
             # stands unconditionally.
-            best = cands[start]
-            best_w = weight[best]
-            for p in range(start + step, m, step):
-                child = cands[p]
-                child_w = weight[child]
-                if child_w > best_w or (child_w == best_w and child < best):
-                    best_w = child_w
-                    best = child
-            return best
+            return weight_argmax(cands, start, step)
         # Unbudgeted winner: every candidate reaching the deepest
         # compatible level shares depth ktop-1 and beats all shallower
         # ones, so only that level's lanes need the (weight, -code)
@@ -701,15 +726,10 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
                 # rest of the scan degenerates to a (weight, -code)
                 # argmax — which cannot win at all once any candidate
                 # scored a positive depth.
-                if best_key[0] > 0:
-                    break
-                bw = best_key[1]
-                for q in range(p, m, step):
-                    ch = cands[q]
-                    w = weight[ch]
-                    if w > bw or (w == bw and ch < best):
-                        bw = w
-                        best = ch
+                if best_key[0] == 0:
+                    rest = weight_argmax(cands, p, step)
+                    if (weight[rest], -rest) > best_key[1:]:
+                        best = rest
                 break
             full, depth, cnt = cone_counts(child, te, wv_te, wc_te)
             if full:
@@ -723,15 +743,17 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
                     # budget; on success the consumption is budget-
                     # independent, so remember it.
                     budget = r
-                    depth = continuation(child, idx, limit)
+                    depth = continuation(child, idx, limit, continuation)
                     if depth >= limit:
+                        if len(fullsim_cache) >= CACHE_LIMIT:
+                            fullsim_cache.clear()
                         fullsim_cache[fkey] = r - budget
                     r = budget
             elif cnt > r:
                 # The cone the budget dies inside: replay with the
                 # exact remaining budget.
                 budget = r
-                depth = continuation(child, idx, limit)
+                depth = continuation(child, idx, limit, continuation)
                 r = budget
             else:
                 r -= cnt  # failing cone fits: exact deduction
@@ -743,65 +765,96 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
                 break
         return best
 
+    def remember(key: tuple, choice: Optional[int]) -> None:
+        if len(decision_memo) >= CACHE_LIMIT:
+            decision_memo.clear()
+        decision_memo[key] = choice
+
     def choose_base(i: int) -> int:
         value = values[i]
         care = cares[i]
-        if lookahead_policy:
-            # Base decisions have up to 2**C_C candidates, so the
-            # generic candidate-tuple memo key is expensive even on a
-            # hit.  An O(1) key works here: the rolling window packs
-            # the decision char and lookahead, and the allocation
-            # counter determines the base candidate tuple (the
-            # active-base set only changes on add/reset) *and* every
-            # base subtree (each allocation's weight walk ends in
-            # exactly one base), so together they pin the whole
-            # decision.  Once the dictionary freezes, every repeated
-            # (char, window) restart is a pure dict hit.
-            rem = n - i - 1
-            te = K if rem > K else rem
-            key = (-1, te, RV[i], RC[i], allocs)
-            hit = decision_memo.get(key)
-            if hit is not None:
-                return hit
-            if index._bases_stale:
-                bases = index_base_candidates(value, care)
-            else:
-                bases = index._bases_cache.get((value, care))
-                if bases is None:
-                    bases = index_base_candidates(value, care)
-            if len(bases) == 1:
-                best = bases[0]
-            else:
-                best = lookahead_best(bases, i, 0, 1, -1)
-            decision_memo[key] = best
-            return best
-        bases = index.base_candidates(value, care)
+        if care == fullchar:
+            # A concrete character is its own only candidate.
+            return value
+        bases = None if index._bases_stale else bases_get((value, care))
+        if bases is None:
+            bases = index_base_candidates(value, care)
         if len(bases) == 1:
             return bases[0]
+        if lookahead_policy:
+            # An O(1) memo key: the rolling window packs the decision
+            # char and lookahead, and the allocation counter determines
+            # the base candidate tuple (the active-base set only changes
+            # on add/reset) *and* every base subtree (each allocation's
+            # weight walk ends in exactly one base), so together they
+            # pin the whole decision.
+            key = (-1, RV[i], RC[i], allocs)
+            best = memo_get(key)
+            if best is None:
+                best = lookahead_best(bases, i, 0, 1, -1)
+                remember(key, best)
+            return best
         if policy == "first":
             return min(bases)
-        best = bases[0]
-        best_w = weight[best]
-        for base in bases[1:]:
-            base_w = weight[base]
-            if base_w > best_w or (base_w == best_w and base < best):
-                best_w = base_w
-                best = base
+        return weight_argmax(bases, 0, 1)
+
+    def choose_child(code: int, i: int) -> Optional[int]:
+        cands = index_candidates(code, values[i], cares[i])
+        if not cands:
+            return None
+        if len(cands) == 2 or policy == "first":
+            # single candidate, or lowest child code — candidates are
+            # stored in ascending-code order, so lane 0 wins
+            return cands[1]
+        return weight_argmax(cands, 1, 2)
+
+    def choose_child_lookahead(code: int, i: int) -> Optional[int]:
+        # O(1) memo for the whole child decision, same trick as
+        # choose_base: (node, window) plus ``weight[node]`` pin it.  The
+        # candidate set and every candidate subtree live under ``node``,
+        # and any allocation below ``node`` walks its weight, so a stale
+        # hit is impossible.  Frozen, nothing can change any more, so
+        # the stamp goes.  A hit skips candidate materialisation
+        # entirely; a stored None records "no compatible child" (phrase
+        # boundary).
+        if frozen:
+            key = (code, RV[i], RC[i])
+        else:
+            key = (code, RV[i], RC[i], weight[code])
+        hit = memo_get(key, miss)
+        if hit is not miss:
+            return hit
+        mask_key = (values[i], cares[i])
+        e = index_nodes.get(code)
+        cands = None if e is None else e[3].get(mask_key)
+        if cands is None:
+            cands = index_candidates(code, *mask_key)
+        if not cands:
+            best = None
+        elif len(cands) == 2:
+            best = cands[1]
+        else:
+            best = lookahead_best(cands, i, 1, 2, code)
+        remember(key, best)
         return best
 
-    def boundary(bcode: int, head: int) -> None:
-        """Reset-or-allocate at a phrase boundary (string(bcode) + head).
+    def boundary(code: int, head: int) -> None:
+        """Reset-or-allocate at a phrase boundary (string(code) + head).
 
         The step itself is :meth:`LZWDictionary.phrase_boundary`, shared
-        with the reference loop; this wrapper adds the fast path's own
-        maintenance.  It serves the in-stream boundaries of the main
-        loop *and* the cross-shard link boundary of a seeded
-        continuation, so both keep identical pack maintenance.
+        with the reference matcher; this wrapper adds the fast matcher's
+        own maintenance.
         """
-        nonlocal allocs, weight, children
+        nonlocal allocs, weight, children, frozen
+        if frozen:
+            # A full dictionary that cannot reset never changes again:
+            # the step is the reference's counted no-op.
+            if recording:
+                rec.incr(ev.DICT_FULL_SKIPS)
+            return
         new_code = dictionary.next_code
         bases_before = len(active_bases)
-        if dictionary.phrase_boundary(bcode, head, rec):
+        if dictionary.phrase_boundary(code, head, rec):
             index.clear()
             for pk in packs:
                 pk.clear()
@@ -816,222 +869,15 @@ def encode_fast(encoder, stream) -> Tuple[List[int], List[int]]:
         if dictionary.next_code == new_code:
             return
         allocs += 1
-        index.invalidate_node(bcode)
+        index.invalidate_node(code)
         if len(active_bases) != bases_before:
             index.invalidate_bases()
-        # Append the new entry's path suffix to the packs of its K+1
-        # nearest ancestors: the ancestor at distance k gains a depth-k
-        # descendant whose lane is the last k characters of the new
-        # string (first consumed lowest).  The walk ends at the virtual
-        # root (-1), whose lane is the entry's whole string.
         if K:
-            sfx = head
-            prev = new_code  # the path's first-step child from anc
-            anc = bcode
-            k = 1
-            while k <= KP:
-                pk = packs[k]
-                entry = pk.get(anc)
-                if entry is None:
-                    pk[anc] = [sfx, 1, [prev]]
-                else:
-                    entry[0] |= sfx << (entry[1] * lane_w[k])
-                    entry[1] += 1
-                    entry[2].append(prev)
-                sver[anc] = sver_get(anc, 0) + 1
-                if anc == -1:
-                    break
-                sfx = charr[anc] | (sfx << char_bits)
-                prev = anc
-                anc = parent[anc]
-                k += 1
+            extend_packs(new_code)
+        frozen = dictionary.is_full and not reset_on_full
 
-    # ------------------------------------------------------------------
-    # Main loop — control flow mirrors the reference loop, StreamEncoder._drain
-    # ------------------------------------------------------------------
-    codes_append = codes.append
-    expansions_append = expansions.append
-    longest_phrase = 0
-    buffer = choose_base(0)
-    if encoder.link is not None:
-        # Pipelined-wave continuation: replay the cross-shard boundary
-        # after the head is chosen (the serial ordering), before any
-        # character is consumed — mirrors the reference's seeded path.
-        boundary(encoder.link, buffer)
-    phrase_start = 0
-    i = 1
-    while i < n:
-        if cancelling and not (i & 1023):  # every CHECK_INTERVAL chars
-            cancel.check()
-        value = values[i]
-        care = cares[i]
-        if care == fullchar:
-            child = children[buffer].get(value)
-            if child is not None:
-                buffer = child
-                i += 1
-                continue
-            cands = ()
-        elif lookahead_policy:
-            # O(1) memo for the whole child decision, same trick as
-            # choose_base: (node, char, window) plus ``weight[node]``
-            # pin it.  The candidate set and every candidate subtree
-            # live under ``node``, and any allocation below ``node``
-            # walks its weight, so a stale hit is impossible.  A hit
-            # skips candidate materialisation entirely; the sentinel
-            # -1 records "no compatible child" (phrase boundary).
-            rem = n - i - 1
-            te = K if rem > K else rem
-            mkey = (buffer, te, RV[i], RC[i], weight[buffer])
-            hit = decision_memo.get(mkey)
-            if hit is not None:
-                if hit >= 0:
-                    buffer = hit
-                    i += 1
-                    continue
-                cands = ()
-            else:
-                e = index_nodes.get(buffer)
-                if e is None:
-                    cands = index_candidates(buffer, value, care)
-                else:
-                    cands = e[3].get((value, care))
-                    if cands is None:
-                        cands = index_candidates(buffer, value, care)
-                if cands:
-                    if len(cands) == 2:
-                        best = cands[1]
-                    else:
-                        best = lookahead_best(cands, i, 1, 2, buffer)
-                    decision_memo[mkey] = best
-                    buffer = best
-                    i += 1
-                    continue
-                decision_memo[mkey] = -1
-        else:
-            cands = index_candidates(buffer, value, care)
-        if cands:
-            if len(cands) == 2 or policy == "first":
-                # single candidate, or lowest child code — candidates
-                # are stored in ascending-code order, so lane 0 wins
-                buffer = cands[1]
-            else:  # popular
-                best = cands[1]
-                best_w = weight[best]
-                for p in range(3, len(cands), 2):
-                    child = cands[p]
-                    child_w = weight[child]
-                    if child_w > best_w or (child_w == best_w and child < best):
-                        best_w = child_w
-                        best = child
-                buffer = best
-            i += 1
-            continue
-        # Phrase boundary: emit, maybe allocate/reset, restart.
-        codes_append(buffer)
-        expansions_append(nchars[buffer])
-        phrase_len = i - phrase_start
-        if phrase_len > longest_phrase:
-            longest_phrase = phrase_len
-        if recording:
-            _record_phrase(rec, char_bits, cares, phrase_start, i)
-        head = choose_base(i)
-        boundary(buffer, head)
-        buffer = head
-        phrase_start = i
-        i += 1
-        if frozen_break and dictionary.is_full:
-            break
-    # ------------------------------------------------------------------
-    # Frozen phase — the dictionary is full and cannot reset, so no
-    # decision input ever mutates again: ``allocs``, every weight and
-    # every pack are constants for the rest of the stream.  This tight
-    # replica of the loop above drops the weight stamp from the memo
-    # key (nothing can invalidate a hit any more) and skips the dead
-    # ``dictionary.add`` attempt at each boundary, keeping only its
-    # recorder counter.  Most of a long stream encodes here — the
-    # dictionary fills within the first few thousand characters.
-    # ------------------------------------------------------------------
-    while i < n:
-        if cancelling and not (i & 1023):  # every CHECK_INTERVAL chars
-            cancel.check()
-        value = values[i]
-        care = cares[i]
-        if care == fullchar:
-            child = children[buffer].get(value)
-            if child is not None:
-                buffer = child
-                i += 1
-                continue
-        else:
-            rem = n - i - 1
-            te = K if rem > K else rem
-            mkey = (buffer, te, RV[i], RC[i])
-            hit = decision_memo.get(mkey)
-            if hit is not None:
-                if hit >= 0:
-                    buffer = hit
-                    i += 1
-                    continue
-            else:
-                e = index_nodes.get(buffer)
-                if e is None:
-                    cands = index_candidates(buffer, value, care)
-                else:
-                    cands = e[3].get((value, care))
-                    if cands is None:
-                        cands = index_candidates(buffer, value, care)
-                if cands:
-                    if len(cands) == 2:
-                        best = cands[1]
-                    else:
-                        best = lookahead_best(cands, i, 1, 2, buffer)
-                    decision_memo[mkey] = best
-                    buffer = best
-                    i += 1
-                    continue
-                decision_memo[mkey] = -1
-        # Phrase boundary: emit and restart — the full dictionary turns
-        # the reference's add attempt into a counted no-op.
-        codes_append(buffer)
-        expansions_append(nchars[buffer])
-        phrase_len = i - phrase_start
-        if phrase_len > longest_phrase:
-            longest_phrase = phrase_len
-        if recording:
-            _record_phrase(rec, char_bits, cares, phrase_start, i)
-            rec.incr(ev.DICT_FULL_SKIPS)
-        buffer = choose_base(i)
-        phrase_start = i
-        i += 1
-    codes_append(buffer)
-    expansions_append(nchars[buffer])
-    phrase_len = n - phrase_start
-    if phrase_len > longest_phrase:
-        longest_phrase = phrase_len
-    if recording:
-        _record_phrase(rec, char_bits, cares, phrase_start, n)
-        rec.incr(ev.ENCODE_CODES, len(codes))
-        rec.observe(ev.HIST_CODES_PER_WIDTH, cfg.code_bits, len(codes))
-    encoder._longest_phrase = longest_phrase
-    # ``continuation`` is recursive, so its closure cell refers back to
-    # it; clearing the cell breaks that cycle, freeing the packs and
-    # memo tables by reference counting instead of a later cyclic GC.
-    continuation = None  # noqa: F841
-    return codes, expansions
-
-
-def _record_phrase(rec, char_bits: int, cares, start: int, end: int) -> None:
-    """Recording-path replica of :func:`repro.core.stream._record_phrase`.
-
-    Every character is ``char_bits`` wide (the final one is X-padded,
-    and padding bits have zero care), so the X count per character is
-    ``char_bits - popcount(care)`` — identical to the reference's
-    ``TernaryVector.x_count`` over the padded characters.
-    """
-    xbits = 0
-    for j in range(start, end):
-        xbits += char_bits - _popcount(cares[j])
-    rec.observe(ev.HIST_PHRASE_LEN, end - start)
-    rec.observe(ev.HIST_XBITS_PER_PHRASE, xbits)
-    rec.incr(ev.ENCODE_XBITS, xbits)
+    return Matcher(
+        choose_base,
+        choose_child_lookahead if lookahead_policy else choose_child,
+        boundary,
+    )

@@ -1,9 +1,9 @@
 """Bounded-memory incremental LZW codec (the streaming state machines).
 
-One-shot :func:`repro.core.compress` materialises the whole input, the
-whole character list and the whole code stream.  This module provides
-the same algorithm as a pair of incremental state machines that consume
-and emit bounded chunks:
+One-shot :func:`repro.core.compress` materialises the whole input and
+the whole code stream.  This module provides the same algorithm as a
+pair of incremental state machines that consume and emit bounded
+chunks:
 
 * :class:`StreamEncoder` — feed ternary chunks, collect codes as they
   are committed, ``finalize()`` to flush the tail.  Output is
@@ -18,31 +18,42 @@ and emit bounded chunks:
   :class:`~repro.core.dictionary.DictionarySnapshot` a resumed session
   seeds from.
 
-One-shot ``engine="reference"`` encoding is ``feed(all) + finalize()``
-on a :class:`StreamEncoder`, so the reference encode loop also exists
-exactly once.
+One-shot encoding under either engine is ``feed(all) + finalize()`` on
+a :class:`StreamEncoder`, so the encode loop exists exactly once.  The
+engine only picks the *matcher* the loop consults, through three calls:
+``choose_base(i)``, ``choose_child(code, i)`` and ``boundary(code,
+head)`` — the reference :class:`~repro.core.dontcare.ChildSelector` or
+the bit-parallel :func:`~repro.core.fastpath.fast_matcher`.  The
+fully-specified exact-child shortcut is common to both and stays
+inline in the loop.
 
 Byte-identity under chunking
 ----------------------------
 The only part of the encoder whose decision at character ``i`` depends
 on characters *after* ``i`` is the ``"lookahead"`` policy: a decision
-at index ``i`` inspects at most ``chars[i .. i+W-1]`` (window ``W``,
-per-decision node budget reset in ``ChildSelector._lookahead_best``),
-**and** returns shallower continuation depths when the buffer ends
-early.  The streaming encoder therefore only commits the decision at
-index ``i`` once at least ``W`` characters from ``i`` are buffered —
-or the input is finalized, at which point the buffer end *is* the true
-end of the stream.  With that single rule every decision sees exactly
-the window the one-shot encoder saw, so the emitted codes are equal.
+at index ``i`` inspects at most characters ``i .. i+W-1`` (window
+``W``, per-decision node budget), **and** returns shallower
+continuation depths when the buffer ends early.  The streaming encoder
+therefore only commits the decision at index ``i`` once at least ``W``
+characters from ``i`` are buffered — or the input is finalized, at
+which point the buffer end *is* the true end of the stream.  With that
+single rule every decision sees exactly the window the one-shot encoder
+saw, so the emitted codes are equal, whichever matcher decides.  The
+fast matcher's rolling ``RV``/``RC`` windows are built under the same
+rule, only for committed indices.
 
 Memory bounds
 -------------
 The encoder retains only the characters of the current (uncommitted)
-phrase plus the ``W``-character slack; a phrase never exceeds
+phrase plus the ``W``-character slack and at most one block of newly
+fed characters (a chunk enters the window ``_FEED_BLOCK`` characters at
+a time, a one-shot ``feed(all)`` too); a phrase never exceeds
 ``max_entry_chars`` (trie depth is capped by ``C_MDATA``), so peak
-retention is ``O(max_entry_chars + W + chunk)`` characters regardless
-of input length.  The dictionary is capped at ``N`` codes as always.
-The decoder retains only the dictionary and the previous expansion.
+retention is ``O(max_entry_chars + W + block)`` characters regardless
+of input length.  The dictionary is capped at
+``N`` codes as always, and the fast matcher's memo tables and caches at
+:data:`~repro.core.fastpath.CACHE_LIMIT` entries each.  The decoder
+retains only the dictionary and the previous expansion.
 """
 
 from __future__ import annotations
@@ -50,15 +61,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..bitstream import TernaryVector, pad_length
+from ..bitstream import TernaryVector, pack_fields, unpack_fields
 from ..observability import NULL_RECORDER, Recorder
 from ..observability import schema as ev
 from ..reliability.errors import DecodeError, SnapshotError
 from .config import LZWConfig
 from .dictionary import DictionarySnapshot, LZWDictionary
 from .dontcare import ChildSelector
+from .fastpath import _popcount, fast_matcher, resolve_engine
 
 __all__ = ["EncodeStats", "StreamDecoder", "StreamEncoder"]
+
+#: Characters :meth:`StreamEncoder.feed` adds to the window at a time (a
+#: multiple of 8, so every block starts on a byte boundary).
+_FEED_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -73,10 +89,17 @@ class EncodeStats:
 
 
 def _record_phrase(
-    rec: Recorder, chars: List[TernaryVector], start: int, end: int
+    rec: Recorder, char_bits: int, cares: List[int], start: int, end: int
 ) -> None:
-    """Record one completed phrase ``chars[start:end]`` (recording only)."""
-    xbits = sum(chars[j].x_count for j in range(start, end))
+    """Record one completed phrase ``start:end`` (recording only).
+
+    Every character is ``char_bits`` wide (the final one is X-padded,
+    and padding bits have zero care), so a character's X count is
+    ``char_bits - popcount(care)``.
+    """
+    xbits = 0
+    for j in range(start, end):
+        xbits += char_bits - _popcount(cares[j])
     rec.observe(ev.HIST_PHRASE_LEN, end - start)
     rec.observe(ev.HIST_XBITS_PER_PHRASE, xbits)
     rec.incr(ev.ENCODE_XBITS, xbits)
@@ -98,6 +121,10 @@ class StreamEncoder:
     salvaged journal's derived snapshot and last code, byte-identical
     to the uninterrupted encode — the same contract the pipelined-wave
     shards rely on).
+
+    ``config.engine`` picks the matcher once, at construction: the fast
+    matcher (``"fast"``/``"auto"``) or the reference
+    :class:`~repro.core.dontcare.ChildSelector`.
 
     ``recorder`` and ``cancel`` behave as in :class:`~repro.core.
     encoder.LZWEncoder`: the same ``encode.*``/``dict.*`` counters are
@@ -128,15 +155,38 @@ class StreamEncoder:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.cancel = cancel
         self._link = link
-        self._selector = ChildSelector(self.dictionary, self.config)
         # How many characters from the decision index must be visible
         # before a decision is safe to commit pre-finalize (see module
-        # docstring).  Non-lookahead policies read only chars[i].
+        # docstring).  Non-lookahead policies read only character i.
         self._slack = (
             self.config.lookahead if self.config.policy == "lookahead" else 1
         )
-        self._chars: List[TernaryVector] = []
-        self._trimmed = 0  # stream index of _chars[0]
+        # The character window: per-character masks from stream index
+        # ``_trimmed`` on, and — for the fast matcher under the
+        # lookahead policy — the rolling windows RV/RC, filled only for
+        # committed decision indices (see ``_roll``).
+        self._values: List[int] = []
+        self._cares: List[int] = []
+        self._rv: Optional[List[int]] = None
+        self._rc: Optional[List[int]] = None
+        if resolve_engine(self.config.engine) == "fast":
+            if self.config.policy == "lookahead":
+                self._rv = []
+                self._rc = []
+            self._matcher = fast_matcher(
+                self.dictionary,
+                self.config,
+                self.recorder,
+                self._values,
+                self._cares,
+                self._rv,
+                self._rc,
+            )
+        else:
+            self._matcher = ChildSelector(
+                self.dictionary, self.config, self._values, self._cares, self.recorder
+            )
+        self._trimmed = 0  # stream index of _values[0]
         self._pending: TernaryVector = TernaryVector.xs(0)
         self._pos = 0
         self._phrase_start = 0
@@ -165,7 +215,7 @@ class StreamEncoder:
     @property
     def buffered_chars(self) -> int:
         """Characters currently retained (memory-bound diagnostics)."""
-        return len(self._chars)
+        return len(self._values)
 
     @property
     def expansions(self) -> List[int]:
@@ -197,17 +247,33 @@ class StreamEncoder:
         self._original_bits += len(chunk)
         combined = self._pending + chunk if len(self._pending) else chunk
         char_bits = self.config.char_bits
-        full = (len(combined) // char_bits) * char_bits
-        if full:
-            new_chars = combined[:full].chunks(char_bits)
-            self._chars.extend(new_chars)
-            self._total_chars += len(new_chars)
-            if self.recorder.enabled:
-                self.recorder.incr(ev.ENCODE_CHARS, len(new_chars))
-            self._pending = combined[full:]
-            return self._drain(final=False)
-        self._pending = combined
-        return []
+        count = len(combined) // char_bits
+        self._pending = combined[count * char_bits :]
+        if not count:
+            return []
+        self._total_chars += count
+        if self.recorder.enabled:
+            self.recorder.incr(ev.ENCODE_CHARS, count)
+        # Characters enter the window one block at a time, so even a
+        # one-shot feed(all) keeps only a block-sized window.  The masks
+        # are split into bytes once, which keeps the blocking linear.
+        size = (len(combined) + 7) >> 3
+        value_bytes = combined.value_mask.to_bytes(size, "little")
+        care_bytes = combined.care_mask.to_bytes(size, "little")
+        step = _FEED_BLOCK * char_bits >> 3
+        codes: List[int] = []
+        for first in range(0, count, _FEED_BLOCK):
+            n = min(_FEED_BLOCK, count - first)
+            offset = first * char_bits >> 3
+            self._trim()
+            for window, masks in (
+                (self._values, value_bytes),
+                (self._cares, care_bytes),
+            ):
+                block = int.from_bytes(masks[offset : offset + step], "little")
+                window.extend(unpack_fields(block, n, char_bits))
+            codes += self._drain(final=False)
+        return codes
 
     def finalize(self) -> List[int]:
         """Flush the tail (padding the final partial character with X).
@@ -222,39 +288,125 @@ class StreamEncoder:
         self._expansions = []
         rec = self.recorder
         recording = rec.enabled
+        values = self._values
+        cares = self._cares
         if len(self._pending):
-            pad = pad_length(len(self._pending), self.config.char_bits)
-            self._chars.append(self._pending + TernaryVector.xs(pad))
+            # The X padding bits are simply absent from both masks.
+            values.append(self._pending.value_mask)
+            cares.append(self._pending.care_mask)
             self._total_chars += 1
             if recording:
                 rec.incr(ev.ENCODE_CHARS, 1)
             self._pending = TernaryVector.xs(0)
         codes = self._drain(final=True)
         if self._started:
-            tail = len(self._chars) - self._phrase_start
+            tail = len(values) - self._phrase_start
             codes.append(self._buffer)
             self._expansions.append(tail)
             self._codes_emitted += 1
             if tail > self._longest_phrase:
                 self._longest_phrase = tail
             if recording:
-                _record_phrase(rec, self._chars, self._phrase_start, len(self._chars))
+                _record_phrase(
+                    rec, self.config.char_bits, cares, self._phrase_start, len(values)
+                )
         if self._total_chars and recording:
             rec.incr(ev.ENCODE_CODES, self._codes_emitted)
             rec.observe(
                 ev.HIST_CODES_PER_WIDTH, self.config.code_bits, self._codes_emitted
             )
-        self._chars.clear()
+        # Release the window and the matcher's tables; the dictionary
+        # stays for stats() and inspection.
+        values.clear()
+        cares.clear()
+        self._rv = self._rc = None
+        self._matcher = None
         return codes
 
     # ------------------------------------------------------------------
     # The committed-decision loop
     # ------------------------------------------------------------------
+    def _trim(self) -> None:
+        """Drop the committed prefix before the window grows again.
+
+        Decisions only ever read forward from the current index, and
+        phrase recording reads back only to the phrase start, so
+        everything before it is dead.  Phrase length is capped by
+        ``max_entry_chars``, which bounds retention.
+        """
+        dead = self._phrase_start
+        if not dead:
+            return
+        del self._values[:dead]
+        del self._cares[:dead]
+        if self._rv is not None:
+            del self._rv[:dead]
+            del self._rc[:dead]
+        self._trimmed += dead
+        self._pos -= dead
+        self._phrase_start = 0
+
+    def _roll(self, stop: int) -> None:
+        """Extend RV/RC through decision index ``stop - 1``.
+
+        ``RV[i]``/``RC[i]`` pack characters ``i .. i+K`` (``K = W - 1``),
+        first character in the low bits.  A decision only commits once
+        ``W`` characters from it are buffered or the input is finalized,
+        so characters missing from the window are past the true end of
+        the stream: they are absent from both masks, and ``RC`` carries
+        their count above the ``K + 1`` characters, so an entry also
+        says how deep the lookahead can go.  Each entry rolls from the
+        previous one in O(1).
+        """
+        values = self._values
+        cares = self._cares
+        rv_list = self._rv
+        rc_list = self._rc
+        char_bits = self.config.char_bits
+        K = self._slack - 1
+        top = K * char_bits
+        navail = len(values)
+        j = len(rv_list)
+        if j:
+            rv = rv_list[-1]
+            rc = rc_list[-1]
+        else:
+            # The window "before" index 0: characters 0 .. K-1 one
+            # place up, so the first roll shifts them into place.
+            rv = pack_fields(values[:K], char_bits) << char_bits
+            rc = pack_fields(cares[:K], char_bits) << char_bits
+        end = stop + K  # one past the last character the windows cover
+        for nxt in range(j + K, min(end, navail)):
+            rv = (rv >> char_bits) | (values[nxt] << top)
+            rc = (rc >> char_bits) | (cares[nxt] << top)
+            rv_list.append(rv)
+            rc_list.append(rc)
+        short = top + char_bits
+        for nxt in range(max(j + K, navail), end):
+            rv >>= char_bits
+            rc >>= char_bits
+            rv_list.append(rv)
+            rc_list.append(rc | (nxt - navail + 1) << short)
+
     def _drain(self, final: bool) -> List[int]:
-        chars = self._chars
-        navail = len(chars)
-        selector = self._selector
+        values = self._values
+        cares = self._cares
+        navail = len(values)
+        # A decision commits once ``slack`` characters from it are
+        # buffered, or at the true end of the stream.
+        stop = navail if final else navail - self._slack + 1
+        codes: List[int] = []
+        if stop <= self._pos:
+            return codes
+        if self._rv is not None:
+            self._roll(stop)
+        matcher = self._matcher
+        choose_base = matcher.choose_base
+        choose_child = matcher.choose_child
+        boundary = matcher.boundary
         dictionary = self.dictionary
+        char_bits = self.config.char_bits
+        fullchar = (1 << char_bits) - 1
         # Hoisted once: with the default NullRecorder the whole run pays
         # this single attribute read, and every event site below is one
         # local-bool branch (bench_overhead.py holds it to <= 5%).
@@ -262,21 +414,18 @@ class StreamEncoder:
         recording = rec.enabled
         cancel = self.cancel
         cancelling = cancel is not None
-        codes: List[int] = []
         expansions = self._expansions
 
         if not self._started:
-            if not navail or (navail < self._slack and not final):
-                return codes
             if cancelling:
                 cancel.check()
-            self._buffer = selector.choose_base(chars, 0)
+            self._buffer = choose_base(0)
             if self._link is not None:
                 # Warm continuation: replay the cross-boundary step the
                 # serial encoder ran between the previous session's last
                 # phrase and this one — after the head is chosen, before
                 # any character is consumed.
-                dictionary.phrase_boundary(self._link, self._buffer, rec)
+                boundary(self._link, self._buffer)
                 self._link = None
             self._started = True
             self._pos = 1
@@ -286,44 +435,39 @@ class StreamEncoder:
         phrase_start = self._phrase_start
         longest = self._longest_phrase
         pos = self._pos
-        # A decision commits once ``slack`` characters from it are
-        # buffered, or at the true end of the stream.
-        stop = navail if final else navail - self._slack + 1
+        # reset() rebinds the dictionary's child maps, so they are
+        # re-fetched after every boundary step.
+        children = dictionary._children
         while pos < stop:
             if cancelling and not ((offset + pos) & 1023):
                 cancel.check()
-            choice = selector.choose_child(buffer, chars, pos)
-            if choice is not None:
-                buffer = choice[1]
+            if cares[pos] == fullchar:
+                # Fully specified: the only candidate is the exact child.
+                child = children[buffer].get(values[pos])
+            else:
+                child = choose_child(buffer, pos)
+            if child is not None:
+                buffer = child
                 pos += 1
                 continue
             # Phrase boundary: emit the buffer code, run the
             # reset-or-allocate step and restart the phrase at a
-            # concrete fill of chars[pos].
+            # concrete fill of character pos.
             codes.append(buffer)
             expansions.append(pos - phrase_start)
             if pos - phrase_start > longest:
                 longest = pos - phrase_start
             if recording:
-                _record_phrase(rec, chars, phrase_start, pos)
-            head = selector.choose_base(chars, pos)
-            dictionary.phrase_boundary(buffer, head, rec)
+                _record_phrase(rec, char_bits, cares, phrase_start, pos)
+            head = choose_base(pos)
+            boundary(buffer, head)
+            children = dictionary._children
             buffer = head
             phrase_start = pos
             pos += 1
         self._buffer = buffer
         self._longest_phrase = longest
         self._codes_emitted += len(codes)
-
-        # Trim the committed prefix: decisions only ever read forward
-        # from the current index, and phrase recording reads back only
-        # to phrase_start, so everything before it is dead.  Phrase
-        # length is capped by max_entry_chars, which bounds retention.
-        if phrase_start:
-            del chars[:phrase_start]
-            self._trimmed += phrase_start
-            pos -= phrase_start
-            phrase_start = 0
         self._pos = pos
         self._phrase_start = phrase_start
         return codes

@@ -42,6 +42,7 @@ OPERATIONS = {
         TernaryVector.concat_all,
     ),
     "decode": (_codes, decode),
+    "parse": (lambda bits: str(_vector(bits)), TernaryVector),
 }
 
 

@@ -6,6 +6,11 @@ from repro.bitstream import TernaryVector
 from repro.core import LZWConfig, LZWDictionary
 
 
+def masks(tchar):
+    """A ternary character as the ``(value, care)`` pair the scans take."""
+    return tchar.value_mask, tchar.care_mask
+
+
 @pytest.fixture
 def d():
     # 2-bit chars: base codes 0..3; up to 3 chars (7 bits) per entry.
@@ -74,7 +79,7 @@ class TestMatching:
     def test_compatible_children_fully_specified(self, d):
         c1 = d.add(0, 1)
         d.add(0, 3)
-        found = d.compatible_children(0, TernaryVector.from_int(1, 2))
+        found = d.compatible_children(0, *masks(TernaryVector.from_int(1, 2)))
         assert found == [(1, c1)]
 
     def test_compatible_children_with_x(self, d):
@@ -83,28 +88,28 @@ class TestMatching:
         d.add(0, 0)  # char 0b00
         # "X1" (bit0=1, bit1=X) matches chars 1 and 3 but not 0.
         tchar = TernaryVector.from_masks(value=0b01, care=0b01, length=2)
-        found = sorted(d.compatible_children(0, tchar))
+        found = sorted(d.compatible_children(0, *masks(tchar)))
         assert found == [(1, c1), (3, c3)]
 
     def test_compatible_children_all_x(self, d):
         c1 = d.add(2, 1)
-        found = d.compatible_children(2, TernaryVector.xs(2))
+        found = d.compatible_children(2, *masks(TernaryVector.xs(2)))
         assert found == [(1, c1)]
 
     def test_compatible_bases_includes_zero_fill(self, d):
         tchar = TernaryVector.xs(2)
-        assert d.compatible_bases(tchar) == [0]
+        assert d.compatible_bases(*masks(tchar)) == [0]
 
     def test_compatible_bases_prefers_active(self, d):
         d.add(3, 1)  # base 3 now has a child
-        bases = d.compatible_bases(TernaryVector.xs(2))
+        bases = d.compatible_bases(*masks(TernaryVector.xs(2)))
         assert set(bases) == {0, 3}
 
     def test_compatible_bases_respects_care_bits(self, d):
         d.add(3, 1)
         # bit0 must be 0 -> base 3 (0b11) incompatible; zero-fill = 0b00.
         tchar = TernaryVector.from_masks(value=0, care=0b01, length=2)
-        assert d.compatible_bases(tchar) == [0]
+        assert d.compatible_bases(*masks(tchar)) == [0]
 
 
 class TestCMDataBoundary:
@@ -164,7 +169,7 @@ class TestFullBehavior:
         assert full.children(1) == {}
 
     def test_matching_still_works_when_full(self, full):
-        found = full.compatible_children(0, TernaryVector.xs(2))
+        found = full.compatible_children(0, *masks(TernaryVector.xs(2)))
         assert sorted(found) == [(1, 4), (2, 5)]
 
     def test_weights_frozen_when_full(self, full):
@@ -191,7 +196,7 @@ class TestReset:
         d.add(3, 1)
         d.reset()
         # Only the zero-fill fallback remains a candidate.
-        assert d.compatible_bases(TernaryVector.xs(2)) == [0]
+        assert d.compatible_bases(*masks(TernaryVector.xs(2))) == [0]
 
     def test_allocation_after_reset_reuses_codes(self, d):
         first = d.add(0, 1)

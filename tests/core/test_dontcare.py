@@ -40,36 +40,43 @@ def _setup(policy, lookahead=4):
     return config, d
 
 
+def _selector(d, config, chars):
+    """A reference matcher over a window of ternary characters."""
+    values = [c.value_mask for c in chars]
+    cares = [c.care_mask for c in chars]
+    return ChildSelector(d, config, values, cares)
+
+
 class TestChildSelector:
     def test_no_compatible_child_returns_none(self):
         config, d = _setup("first")
-        sel = ChildSelector(d, config)
         chars = to_characters(TernaryVector("0101"), 2)
-        assert sel.choose_child(0, chars, 0) is None
+        sel = _selector(d, config, chars)
+        assert sel.choose_child(0, 0) is None
 
     def test_single_candidate_shortcut(self):
         config, d = _setup("lookahead")
         child = d.add(0, 3)
-        sel = ChildSelector(d, config)
         chars = to_characters(TernaryVector("11XX"), 2)  # char 0 = 0b11
-        assert sel.choose_child(0, chars, 0) == (3, child)
+        sel = _selector(d, config, chars)
+        assert sel.choose_child(0, 0) == child
 
     def test_first_policy_picks_lowest_code(self):
         config, d = _setup("first")
         c1 = d.add(0, 1)
         d.add(0, 3)
-        sel = ChildSelector(d, config)
         chars = [TernaryVector.xs(2)]
-        assert sel.choose_child(0, chars, 0) == (1, c1)
+        sel = _selector(d, config, chars)
+        assert sel.choose_child(0, 0) == c1
 
     def test_popular_policy_picks_heaviest_subtree(self):
         config, d = _setup("popular")
         c1 = d.add(0, 1)
         c3 = d.add(0, 3)
         d.add(c3, 2)  # subtree of c3 is heavier
-        sel = ChildSelector(d, config)
         chars = [TernaryVector.xs(2)]
-        assert sel.choose_child(0, chars, 0) == (3, c3)
+        sel = _selector(d, config, chars)
+        assert sel.choose_child(0, 0) == c3
 
     def test_lookahead_prefers_longer_continuation(self):
         config, d = _setup("lookahead")
@@ -77,9 +84,9 @@ class TestChildSelector:
         c3 = d.add(0, 3)
         c32 = d.add(c3, 2)  # c3 continues deeper
         d.add(c32, 2)
-        sel = ChildSelector(d, config)
         chars = [TernaryVector.xs(2)] * 4
-        assert sel.choose_child(0, chars, 0) == (3, c3)
+        sel = _selector(d, config, chars)
+        assert sel.choose_child(0, 0) == c3
 
     def test_lookahead_respects_care_bits_downstream(self):
         config, d = _setup("lookahead")
@@ -87,33 +94,33 @@ class TestChildSelector:
         d.add(c1, 2)  # path 1 -> 2
         c3 = d.add(0, 3)
         d.add(c3, 0)  # path 3 -> 0
-        sel = ChildSelector(d, config)
         # Next char is X, the one after demands 0b00: only 3->0 survives.
         chars = [TernaryVector.xs(2), TernaryVector.from_int(0, 2)]
-        assert sel.choose_child(0, chars, 0) == (3, c3)
+        sel = _selector(d, config, chars)
+        assert sel.choose_child(0, 0) == c3
 
     def test_choose_base_zero_fill_fallback(self):
         config, d = _setup("lookahead")
-        sel = ChildSelector(d, config)
         # bit0 = 1, bit1 = X -> zero fill 0b01 = 1.
         chars = [TernaryVector.from_masks(0b01, 0b01, 2)]
-        assert sel.choose_base(chars, 0) == 1
+        sel = _selector(d, config, chars)
+        assert sel.choose_base(0) == 1
 
     def test_choose_base_prefers_active_subtree(self):
         config, d = _setup("lookahead")
         d.add(3, 1)
-        sel = ChildSelector(d, config)
         chars = [TernaryVector.xs(2), TernaryVector.from_masks(0b01, 0b11, 2)]
-        assert sel.choose_base(chars, 0) == 3
+        sel = _selector(d, config, chars)
+        assert sel.choose_base(0) == 3
 
     def test_deterministic_tie_break(self):
         config, d = _setup("lookahead")
         d.add(0, 1)
         d.add(0, 3)
-        sel = ChildSelector(d, config)
         chars = [TernaryVector.xs(2)]
-        first = sel.choose_child(0, chars, 0)
-        again = sel.choose_child(0, chars, 0)
+        sel = _selector(d, config, chars)
+        first = sel.choose_child(0, 0)
+        again = sel.choose_child(0, 0)
         assert first == again
 
 
@@ -129,8 +136,8 @@ class TestTieBreakDeterminism:
         config, d = _setup("popular")
         c1 = d.add(0, 1)
         d.add(0, 3)  # equal weight (both leaves)
-        sel = ChildSelector(d, config)
-        assert sel.choose_child(0, [TernaryVector.xs(2)], 0) == (1, c1)
+        sel = _selector(d, config, [TernaryVector.xs(2)])
+        assert sel.choose_child(0, 0) == c1
 
     def test_lookahead_tie_falls_to_lowest_code(self):
         config, d = _setup("lookahead")
@@ -139,27 +146,26 @@ class TestTieBreakDeterminism:
         # Symmetric continuations: both children go one deeper.
         d.add(c1, 2)
         d.add(c3, 2)
-        sel = ChildSelector(d, config)
         chars = [TernaryVector.xs(2)] * 3
-        assert sel.choose_child(0, chars, 0) == (1, c1)
+        sel = _selector(d, config, chars)
+        assert sel.choose_child(0, 0) == c1
 
     def test_choose_base_popular_tie_falls_to_lowest_base(self):
         config, d = _setup("popular")
         d.add(1, 0)
         d.add(3, 0)  # bases 1 and 3, equal weights
-        sel = ChildSelector(d, config)
         chars = [TernaryVector.xs(2)]
-        assert sel.choose_base(chars, 0) == 1
+        sel = _selector(d, config, chars)
+        assert sel.choose_base(0) == 1
 
     def test_same_choice_from_identically_built_dictionaries(self):
         def build():
             config, d = _setup("lookahead")
             for base, char in ((0, 1), (0, 3), (2, 2)):
                 d.add(base, char)
-            return ChildSelector(d, config)
+            return _selector(d, config, [TernaryVector.xs(2)] * 4)
 
-        chars = [TernaryVector.xs(2)] * 4
-        picks = {build().choose_child(0, chars, 0) for _ in range(5)}
+        picks = {build().choose_child(0, 0) for _ in range(5)}
         assert len(picks) == 1
 
     def test_insertion_order_does_not_break_lowest_code_rule(self):
@@ -168,8 +174,8 @@ class TestTieBreakDeterminism:
         config, d = _setup("first")
         d.add(0, 3)  # code 4
         c_low = d.add(0, 1)  # code 5
-        sel = ChildSelector(d, config)
-        assert sel.choose_child(0, [TernaryVector.xs(2)], 0) == (3, 4)
+        sel = _selector(d, config, [TernaryVector.xs(2)])
+        assert sel.choose_child(0, 0) == 4
         del c_low
 
     def test_exhausted_budget_is_still_deterministic(self):
@@ -188,6 +194,6 @@ class TestTieBreakDeterminism:
         d.add(c3, 2)
         chars = [TernaryVector.xs(2)] * 4
         picks = {
-            ChildSelector(d, config).choose_child(0, chars, 0) for _ in range(5)
+            _selector(d, config, chars).choose_child(0, 0) for _ in range(5)
         }
         assert len(picks) == 1

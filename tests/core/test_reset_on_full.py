@@ -19,7 +19,8 @@ class TestDictionaryReset:
         assert len(d) == config.base_codes
         assert d.allocated == 0
         assert d.longest_entry_chars() == 0
-        assert d.compatible_children(0, TernaryVector.xs(2)) == []
+        all_x = TernaryVector.xs(2)
+        assert d.compatible_children(0, all_x.value_mask, all_x.care_mask) == []
         # The trie is usable again after the flush.
         assert d.add(0, 1) == config.base_codes
 

@@ -3,13 +3,15 @@
 ``StreamEncoder`` must emit *exactly* the code sequence of the one-shot
 ``compress()`` for the same input and config, no matter how the input
 is chunked — including the adversarial chunkings: one bit at a time,
-a boundary splitting a phrase mid-match, an empty final chunk.  The
-suite runs the comparison under both engines (the one-shot side picks
-the engine; the streaming side is engine-agnostic by construction, so
-agreement with both is the full conformance statement).
+a boundary splitting a phrase mid-match, an empty final chunk.  Both
+sides run under both engines: every chunked encode, with either
+matcher, must equal the one-shot reference encode, and the assertions
+below compare it with the one-shot encode of each engine too.
 """
 
 import random
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -34,7 +36,7 @@ def one_shot_codes(stream, config, engine):
     )).compressed.codes)
 
 
-def stream_codes(stream, config, chunk_bits):
+def chunked_codes(stream, config, chunk_bits):
     enc = StreamEncoder(config)
     codes = []
     if chunk_bits == 0:
@@ -47,6 +49,18 @@ def stream_codes(stream, config, chunk_bits):
         codes.extend(enc.feed(chunk))
     codes.extend(enc.finalize())
     assert enc.original_bits == len(stream)
+    return codes
+
+
+def stream_codes(stream, config, chunk_bits):
+    """The chunked encode's codes, checked under every engine.
+
+    Each engine's chunked run must equal the one-shot reference encode.
+    """
+    expected = one_shot_codes(stream, config, "reference")
+    for engine in ENGINES:
+        codes = chunked_codes(stream, replace(config, engine=engine), chunk_bits)
+        assert codes == expected, (engine, chunk_bits)
     return codes
 
 
@@ -144,7 +158,8 @@ def test_stream_decoder_snapshot_equals_derived():
 def test_resume_from_boundary_is_byte_identical():
     """The crash-resume contract: seed+link from a code boundary, then
     refeed the remaining bits — the continuation emits exactly the codes
-    the uninterrupted encode would have."""
+    the uninterrupted encode would have, under both engines (the fast
+    one rebuilds its suffix packs from the restored dictionary)."""
     rng = random.Random(9)
     stream = TernaryVector.random(800, x_density=0.3, rng=rng)
     full = stream_codes(stream, CFG, 64)
@@ -160,13 +175,16 @@ def test_resume_from_boundary_is_byte_identical():
     consumed_bits = len(chars) * CFG.char_bits
     snapshot = dec.snapshot()
 
-    resumed = StreamEncoder(CFG, seed=snapshot, link=prefix_codes[-1])
-    tail_codes = []
-    remaining = stream[consumed_bits:]
-    for i in range(0, len(remaining), 50):
-        tail_codes.extend(resumed.feed(remaining[i : i + 50]))
-    tail_codes.extend(resumed.finalize())
-    assert prefix_codes + tail_codes == full
+    for engine in ENGINES:
+        resumed = StreamEncoder(
+            replace(CFG, engine=engine), seed=snapshot, link=prefix_codes[-1]
+        )
+        tail_codes = []
+        remaining = stream[consumed_bits:]
+        for i in range(0, len(remaining), 50):
+            tail_codes.extend(resumed.feed(remaining[i : i + 50]))
+        tail_codes.extend(resumed.finalize())
+        assert prefix_codes + tail_codes == full
 
 
 def test_encoder_retention_is_bounded():
@@ -187,3 +205,30 @@ def test_encoder_retention_is_bounded():
         ))
         high_water = max(high_water, enc.buffered_chars)
     assert high_water <= bound, (high_water, bound)
+
+
+def _traced_peak(data: bytes, chunk_bytes: int) -> int:
+    enc = StreamEncoder(LZWConfig())
+    tracemalloc.start()
+    try:
+        for off in range(0, len(data), chunk_bytes):
+            buf = data[off : off + chunk_bytes]
+            bits = int.from_bytes(buf, "little")
+            enc.feed(TernaryVector.from_int(bits, 8 * len(buf)))
+        enc.finalize()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_default_encoder_memory_is_flat_on_random_bytes():
+    """Incompressible input makes every window new: the default (fast)
+    matcher's memo tables and caches must not grow with the input.
+    Same 2x bound as benchmarks/stream_smoke.py, at N and 10N bytes."""
+    rng = random.Random(11)
+    size = 8 * 1024
+    base = _traced_peak(rng.getrandbits(8 * size).to_bytes(size, "little"), 2048)
+    big = _traced_peak(
+        rng.getrandbits(80 * size).to_bytes(10 * size, "little"), 2048
+    )
+    assert big <= 2 * base, (base, big)
